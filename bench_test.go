@@ -87,16 +87,23 @@ func BenchmarkFigure11(b *testing.B) { benchExperiment(b, "figure11") }
 func BenchmarkFigure12(b *testing.B) { benchExperiment(b, "figure12") }
 func BenchmarkTableIV(b *testing.B)  { benchExperiment(b, "table4") }
 
-// BenchmarkGraphBuild measures lowering a model to its training graph
-// — the inner work the graph cache memoizes. "build" is the raw
-// lowering; "cached-warm" is the memoized path the mode grids and TP
-// ladders actually take after the first compile.
+// BenchmarkGraphBuild measures lowering a model to its training graph.
+// The RDU's O0/O1 builders lower one decoder layer, so the 1L case is
+// the work the graph cache memoizes for them, once per model shape;
+// the full-depth cases show the cost that lowering avoids, which grows
+// with L. "build" is the raw lowering; "cached-warm" is the memoized
+// path every later compile of the same shape takes.
 func BenchmarkGraphBuild(b *testing.B) {
 	opts := graph.BuildOptions{Batch: 512, Seq: 1024, Precision: precision.FP16, Backward: true}
 	for _, cfg := range []struct {
 		name  string
 		model dabench.ModelConfig
-	}{{"gpt2-small-12L", model.GPT2Small()}, {"gpt2-small-48L", model.GPT2Small().WithLayers(48)}, {"llama2-7b", model.LLaMA2_7B()}} {
+	}{
+		{"gpt2-small-1L", model.GPT2Small().WithLayers(1)},
+		{"gpt2-small-12L", model.GPT2Small()},
+		{"gpt2-small-48L", model.GPT2Small().WithLayers(48)},
+		{"llama2-7b", model.LLaMA2_7B()},
+	} {
 		b.Run(cfg.name+"/build", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -18,7 +18,9 @@ type CacheStats = cachestats.Stats
 // and only if Build would construct byte-identical graphs. Parallelism
 // and compile mode are deliberately absent: they shape how a platform
 // partitions a graph, never the graph itself, which is what lets the
-// RDU's O0/O1/O3 mode grids and the TP ladders share one build.
+// RDU's O0/O1 mode grids and the TP ladders share one build. The RDU
+// also passes a depth-normalised config (one layer, no name), so its
+// layer ladders share that build too.
 type cacheKey struct {
 	cfg  model.Config
 	opts BuildOptions

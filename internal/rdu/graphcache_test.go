@@ -1,6 +1,7 @@
 package rdu
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // TestCompileSharesGraphAcrossModes asserts the cross-spec payoff the
-// graph cache exists for: O0 and O1 compiles of the same workload (and
-// any TP degree) lower the model once.
+// graph cache exists for: O0 and O1 compiles of one model shape (at
+// any TP degree and any depth) lower its single decoder layer once.
 func TestCompileSharesGraphAcrossModes(t *testing.T) {
 	graph.ResetCache()
 	s := New()
@@ -25,6 +26,55 @@ func TestCompileSharesGraphAcrossModes(t *testing.T) {
 	if d.Misses != 1 || d.Hits != 1 {
 		t.Errorf("graph cache deltas = %+v, want O1 to reuse O0's build (1 miss / 1 hit)", d)
 	}
+
+	// The key is depth-normalised, so a layer ladder is one build too.
+	graph.ResetCache()
+	ladder := []int{4, 8, 12, 16, 24, 32, 40, 48}
+	before = graph.Stats()
+	for i, l := range ladder {
+		mode := platform.ModeO0
+		if i%2 == 1 {
+			mode = platform.ModeO1
+		}
+		if _, err := s.Compile(gptSpec(l, mode)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d = graph.Stats().Sub(before)
+	if d.Misses != 1 || d.Hits != int64(len(ladder)-1) {
+		t.Errorf("graph cache deltas over a %d-depth ladder = %+v, want 1 miss / %d hits",
+			len(ladder), d, len(ladder)-1)
+	}
+}
+
+// TestCompileAllocsIndependentOfDepth pins what the one-layer lowering
+// buys: a cold O0 or O1 compile (graph cache dropped every run)
+// allocates the same at every depth, where an L-layer walk grew with L.
+func TestCompileAllocsIndependentOfDepth(t *testing.T) {
+	t.Cleanup(graph.ResetCache)
+	slack := 0.0
+	if raceEnabled {
+		slack = 2
+	}
+	s := New()
+	for _, mode := range []platform.CompileMode{platform.ModeO0, platform.ModeO1} {
+		var want float64
+		for i, l := range []int{2, 12, 48} {
+			spec := gptSpec(l, mode)
+			got := testing.AllocsPerRun(20, func() {
+				graph.ResetCache()
+				if _, err := s.Compile(spec); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%v cold compile at %d layers: %v allocs", mode, l, got)
+			if i == 0 {
+				want = got
+			} else if math.Abs(got-want) > slack {
+				t.Errorf("%v cold compile at %d layers: %v allocs, want %v (as at 2 layers)", mode, l, got, want)
+			}
+		}
+	}
 }
 
 // TestCompileLeavesCachedGraphUntouched is the consumer-side guard of
@@ -33,7 +83,7 @@ func TestCompileSharesGraphAcrossModes(t *testing.T) {
 // workload would read a corrupted lowering.
 func TestCompileLeavesCachedGraphUntouched(t *testing.T) {
 	graph.ResetCache()
-	g, err := buildGraph(gptSpec(8, platform.ModeO0))
+	g, err := layerGraph(gptSpec(8, platform.ModeO0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,41 +38,56 @@ func (*Sim) HardwareSpec() platform.Spec {
 // Compile implements platform.Platform: partition the training graph
 // into sections per the selected compile mode.
 func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) {
-	if err := spec.Validate(); err != nil {
+	mode, tp, err := resolve(spec)
+	if err != nil {
 		return nil, err
 	}
-	if spec.Par.DataParallel > 1 {
-		return nil, fmt.Errorf("rdu: data parallelism is not modeled on SN30 (the paper scales via TP)")
-	}
-	if spec.Par.PipelineParallel > 1 {
-		return nil, fmt.Errorf("rdu: pipeline parallelism is not modeled on SN30")
-	}
-	tp := spec.Par.TensorParallel
-	if tp < 1 {
-		tp = 1
-	}
-
-	mode := spec.Par.Mode
-	if mode == platform.ModeDefault {
-		mode = platform.ModeO1
-	}
-	var (
-		secs []section
-		err  error
-	)
+	var secs []section
 	switch mode {
 	case platform.ModeO0:
 		secs, err = buildO0(spec)
 	case platform.ModeO1:
 		secs, err = buildO1(spec)
-	case platform.ModeO3:
-		secs, err = buildO3(spec)
 	default:
-		return nil, fmt.Errorf("rdu: unknown compile mode %v", mode)
+		secs, err = buildO3(spec)
 	}
 	if err != nil {
 		return nil, err
 	}
+	return s.report(spec, mode, tp, secs)
+}
+
+// resolve validates the spec for the RDU and returns its effective
+// compile mode and tensor-parallel degree.
+func resolve(spec platform.TrainSpec) (platform.CompileMode, int, error) {
+	if err := spec.Validate(); err != nil {
+		return 0, 0, err
+	}
+	if spec.Par.DataParallel > 1 {
+		return 0, 0, fmt.Errorf("rdu: data parallelism is not modeled on SN30 (the paper scales via TP)")
+	}
+	if spec.Par.PipelineParallel > 1 {
+		return 0, 0, fmt.Errorf("rdu: pipeline parallelism is not modeled on SN30")
+	}
+	tp := spec.Par.TensorParallel
+	if tp < 1 {
+		tp = 1
+	}
+	mode := spec.Par.Mode
+	switch mode {
+	case platform.ModeDefault:
+		mode = platform.ModeO1
+	case platform.ModeO0, platform.ModeO1, platform.ModeO3:
+	default:
+		return 0, 0, fmt.Errorf("rdu: unknown compile mode %v", mode)
+	}
+	return mode, tp, nil
+}
+
+// report turns a mode's section list into the compile report: the DDR
+// capacity check, per-section timing under TP, and the Eq. 2 weighted
+// allocation.
+func (s *Sim) report(spec platform.TrainSpec, mode platform.CompileMode, tp int, secs []section) (*platform.CompileReport, error) {
 	sortSections(secs)
 
 	// DDR capacity check: weights + gradients + optimizer state.

@@ -77,13 +77,19 @@ func templateKey(name string) string {
 	return name
 }
 
-// buildGraph lowers the spec's model to its training graph through the
-// process-wide build cache: the graph depends only on (model, batch,
-// seq, precision), so the O0/O1/O3 mode grids and the TP ladders all
-// share one lowering. The returned graph is immutable — section
-// builders only read it.
-func buildGraph(spec platform.TrainSpec) (*graph.Graph, error) {
-	return graph.Cached(spec.Model, graph.BuildOptions{
+// layerGraph lowers one decoder layer of the spec's model through the
+// process-wide build cache. Decoder layers are structurally identical —
+// every layer's operators carry the same FLOPs and traffic — so the
+// O0/O1 builders walk this single layer and count each decoder node L
+// times instead of lowering L copies. The cache key is the
+// depth-normalised config (layer count and name fixed), so every depth
+// of one model shape, every compile mode and every TP degree share one
+// small lowering. The returned graph is immutable — section builders
+// only read it.
+func layerGraph(spec platform.TrainSpec) (*graph.Graph, error) {
+	cfg := spec.Model
+	cfg.Name, cfg.NumLayers = "", 1
+	return graph.Cached(cfg, graph.BuildOptions{
 		Batch: spec.Batch, Seq: spec.Seq, Precision: spec.Precision, Backward: true,
 	})
 }
@@ -91,100 +97,149 @@ func buildGraph(spec platform.TrainSpec) (*graph.Graph, error) {
 // buildO0 creates operator-mode sections: one per operator template,
 // invoked once per decoder layer.
 func buildO0(spec platform.TrainSpec) ([]section, error) {
-	g, err := buildGraph(spec)
+	g, err := layerGraph(spec)
 	if err != nil {
 		return nil, err
 	}
-	return mergedSections(g, spec, 1.0), nil
+	h := spec.Model.HiddenSize
+	secs := make([]section, 0, g.Len())
+	for _, n := range g.Nodes() {
+		inv := 1
+		if n.Layer >= 0 {
+			inv = spec.Model.NumLayers
+		}
+		// Per-invocation work is the L-layer total over L, the total
+		// summed one layer at a time (see layerSum).
+		flops := layerSum(float64(n.FLOPs), inv) / float64(inv)
+		traffic := layerSum(float64(n.Traffic()), inv) / float64(inv)
+		key := templateKey(n.Name) + "." + n.Phase.String()
+		pc := opPCUs(n.Kind, h)
+		kind := "pointwise"
+		if isMatmulKind(n.Kind) {
+			kind = "matmul"
+		}
+		secs = append(secs, section{
+			name: key, kind: kind,
+			pcus:  clampF(pc, pointwisePCUs, maxSectionPCUs),
+			pmus:  opPMUs(n.Kind, pc),
+			flops: flops, ddrBytes: traffic,
+			invocations: inv,
+			ops: []metrics.TaskSample{{
+				Name: key, Resources: pc,
+				Throughput: opThroughput(n, pc, spec.Precision),
+			}},
+		})
+	}
+	return secs, nil
+}
+
+// layerSum totals x over L layers with L sequential additions, the way
+// a walk over L stacked layers adds them. Section work must match that
+// walk bit for bit. Once a total passes 2^53 the additions round at
+// each step while x·L rounds once; at odd shapes (batch 999, seq 1023,
+// ...) the two then differ in the last bit, and /v1/run accepts any
+// batch and seq.
+func layerSum(x float64, L int) float64 {
+	var sum float64
+	for i := 0; i < L; i++ {
+		sum += x
+	}
+	return sum
 }
 
 // buildO1 creates module-mode sections: the paper's operator fusion
 // groups each decoder module's operators into one section, and shards
 // the LM head.
 func buildO1(spec platform.TrainSpec) ([]section, error) {
-	g, err := buildGraph(spec)
+	g, err := layerGraph(spec)
 	if err != nil {
 		return nil, err
 	}
 	h := spec.Model.HiddenSize
 	L := spec.Model.NumLayers
 
-	// Group decoder nodes by (module, phase); shared nodes stay solo
-	// except the LM head, which is sharded.
+	// A fused (module, phase) group: one layer's operators in graph
+	// order, and the section totals accumulated over all L layers.
 	type agg struct {
+		key, kind                  string
+		nodes                      []*graph.Node
 		flops, traffic, pcus, pmus float64
-		kind                       string
-		ops                        []metrics.TaskSample
-		count                      int
 	}
-	groups := make(map[string]*agg, 16)
-	order := make([]string, 0, 16)
-	add := func(key, kind string, n *graph.Node, fused bool) {
-		a, ok := groups[key]
-		if !ok {
-			a = &agg{kind: kind}
-			groups[key] = a
-			order = append(order, key)
-		}
-		a.flops += float64(n.FLOPs)
-		a.traffic += float64(n.Traffic())
-		pc := opPCUs(n.Kind, h)
-		if fused {
-			// Fused module operators share the section spatially; the
-			// section allocation is the fused-pipeline width, not the
-			// sum of operator widths.
-			if b := clampF(pc*o1FusionBoost, minMatmulPCUs, maxSectionPCUs); b > a.pcus {
-				a.pcus = b
-			}
-		} else if pc > a.pcus {
-			a.pcus = pc
-		}
-		pm := opPMUs(n.Kind, a.pcus)
-		if pm > a.pmus {
-			a.pmus = pm
-		}
-		a.count++
-		a.ops = append(a.ops, metrics.TaskSample{
-			Name: n.Name, Resources: pc,
-			Throughput: opThroughput(n, pc, spec.Precision),
-		})
-	}
-
-	var headNodes []*graph.Node
+	var (
+		groups    []*agg
+		headNodes []*graph.Node
+	)
+	secs := make([]section, 0, 16)
 	for _, n := range g.Nodes() {
 		if n.Layer >= 0 {
 			mod := moduleOf(templateKey(n.Name))
 			key := mod + "." + n.Phase.String()
-			add(key, moduleKind(mod), n, true)
+			i := 0
+			for i < len(groups) && groups[i].key != key {
+				i++
+			}
+			if i == len(groups) {
+				groups = append(groups, &agg{key: key, kind: moduleKind(mod)})
+			}
+			groups[i].nodes = append(groups[i].nodes, n)
 			continue
 		}
 		if strings.HasPrefix(n.Name, "lm-head") {
 			headNodes = append(headNodes, n)
 			continue
 		}
-		add(templateKey(n.Name)+"."+n.Phase.String(), "nondecoder", n, false)
+		// Shared nodes other than the LM head stay solo.
+		pc := opPCUs(n.Kind, h)
+		secs = append(secs, section{
+			name: templateKey(n.Name) + "." + n.Phase.String(), kind: "nondecoder",
+			pcus: pc, pmus: opPMUs(n.Kind, pc),
+			flops: float64(n.FLOPs), ddrBytes: float64(n.Traffic()),
+			invocations: 1,
+			ops: []metrics.TaskSample{{
+				Name: n.Name, Resources: pc,
+				Throughput: opThroughput(n, pc, spec.Precision),
+			}},
+		})
 	}
 
-	var secs []section
-	for _, key := range order {
-		a := groups[key]
-		inv := 1
-		flops, traffic := a.flops, a.traffic
-		if strings.HasPrefix(key, "attn.") || strings.HasPrefix(key, "mlp.") {
-			inv = L
-			flops /= float64(L)
-			traffic /= float64(L)
-			// The merged section's op rows also represent one layer,
-			// and fusion rebalances the pipeline: each operator gets
-			// resources proportional to its work (this is what makes
-			// O1's LI markedly better than O3's, Figure 8).
-			a.ops = rebalanceOps(dedupeOps(a.ops), a.pcus, spec)
+	for _, a := range groups {
+		// Accumulate layer by layer, in the order an L-layer walk adds
+		// the group's nodes, so the sums round as that walk's do (a
+		// one-layer subtotal times L would not; see layerSum). From the
+		// second layer on, the PMU maximum sees the group's full fused
+		// width, as it does there.
+		for l := 0; l < L; l++ {
+			for _, n := range a.nodes {
+				a.flops += float64(n.FLOPs)
+				a.traffic += float64(n.Traffic())
+				// Fused module operators share the section spatially;
+				// the section allocation is the fused-pipeline width,
+				// not the sum of operator widths.
+				if b := clampF(opPCUs(n.Kind, h)*o1FusionBoost, minMatmulPCUs, maxSectionPCUs); b > a.pcus {
+					a.pcus = b
+				}
+				if pm := opPMUs(n.Kind, a.pcus); pm > a.pmus {
+					a.pmus = pm
+				}
+			}
+		}
+		// The merged section's op rows represent one layer, and fusion
+		// rebalances the pipeline: each operator gets resources
+		// proportional to its work (this is what makes O1's LI
+		// markedly better than O3's, Figure 8).
+		ops := make([]metrics.TaskSample, len(a.nodes))
+		for i, n := range a.nodes {
+			pc := opPCUs(n.Kind, h)
+			ops[i] = metrics.TaskSample{
+				Name: templateKey(n.Name), Resources: pc,
+				Throughput: opThroughput(n, pc, spec.Precision),
+			}
 		}
 		secs = append(secs, section{
-			name: key, kind: a.kind,
+			name: a.key, kind: a.kind,
 			pcus: a.pcus, pmus: a.pmus,
-			flops: flops, ddrBytes: traffic,
-			invocations: inv, ops: a.ops,
+			flops: a.flops / float64(L), ddrBytes: a.traffic / float64(L),
+			invocations: L, ops: rebalanceOps(ops, a.pcus, spec),
 		})
 	}
 
@@ -241,69 +296,6 @@ func moduleOf(tmpl string) string {
 }
 
 func moduleKind(mod string) string { return "matmul" }
-
-// dedupeOps keeps one op row per template (the merged section executes
-// the same operator for every layer).
-func dedupeOps(ops []metrics.TaskSample) []metrics.TaskSample {
-	seen := map[string]bool{}
-	var out []metrics.TaskSample
-	for _, o := range ops {
-		k := templateKey(o.Name)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		o.Name = k
-		out = append(out, o)
-	}
-	return out
-}
-
-// mergedSections implements O0: one section per operator template.
-func mergedSections(g *graph.Graph, spec platform.TrainSpec, fusion float64) []section {
-	h := spec.Model.HiddenSize
-	type agg struct {
-		node    *graph.Node
-		flops   float64
-		traffic float64
-		inv     int
-	}
-	groups := make(map[string]*agg, 48)
-	order := make([]string, 0, 48)
-	for _, n := range g.Nodes() {
-		key := templateKey(n.Name) + "." + n.Phase.String()
-		a, ok := groups[key]
-		if !ok {
-			a = &agg{node: n}
-			groups[key] = a
-			order = append(order, key)
-		}
-		a.flops += float64(n.FLOPs)
-		a.traffic += float64(n.Traffic())
-		a.inv++
-	}
-	secs := make([]section, 0, len(order))
-	for _, key := range order {
-		a := groups[key]
-		pc := opPCUs(a.node.Kind, h) * fusion
-		kind := "pointwise"
-		if isMatmulKind(a.node.Kind) {
-			kind = "matmul"
-		}
-		secs = append(secs, section{
-			name: key, kind: kind,
-			pcus:  clampF(pc, pointwisePCUs, maxSectionPCUs),
-			pmus:  opPMUs(a.node.Kind, pc),
-			flops: a.flops / float64(a.inv), ddrBytes: a.traffic / float64(a.inv),
-			invocations: a.inv,
-			ops: []metrics.TaskSample{{
-				Name: key, Resources: pc,
-				Throughput: opThroughput(a.node, pc, spec.Precision),
-			}},
-		})
-	}
-	return secs
-}
 
 // shardHead splits the LM-head matmul (and its backward) into shard
 // sections per the Table II(b) model.

@@ -43,10 +43,14 @@ func (s *Server) initMetrics() {
 				lbl("endpoint", endpointNames[ep]), lbl("stage", stageNames[stg]))
 		}
 	}
+	// The stage hook reports the simulator's Name() ("WSE-2", "RDU",
+	// ...); the label keeps the canonical short name. PlatformNames are
+	// SharedPlatform's own canonical names, so the lookup cannot miss.
 	s.pipeHist = map[string]*telemetry.Histogram{}
 	for _, pn := range experiments.PlatformNames() {
+		p, _ := experiments.SharedPlatform(pn)
 		for _, stg := range []string{platform.StageCompile, platform.StageRun} {
-			s.pipeHist[pn+"\x00"+stg] = s.reg.Histogram(
+			s.pipeHist[p.Name()+"\x00"+stg] = s.reg.Histogram(
 				"dabench_pipeline_stage_seconds",
 				"Real simulator work by platform and stage (cache misses only).",
 				nil,

@@ -165,6 +165,44 @@ func TestMetricsStageCounts(t *testing.T) {
 	}
 }
 
+// TestPipelineStageCountsPerPlatform checks the pipeline-stage
+// histograms fire under the right label: one cold POST /v1/run per
+// platform records one real compile and one real run for that platform
+// only, and a warm repeat (answered before any simulator) records
+// nothing.
+func TestPipelineStageCountsPerPlatform(t *testing.T) {
+	experiments.ResetCaches()
+	ts := newTestServer(t, Config{MaxInFlight: 3})
+	bodies := []string{ // one compilable spec per platform, in PlatformNames order
+		`{"platform":"wse","model":"gpt2-small","batch":512,"seq":1024,"precision":"FP16"}`,
+		`{"platform":"rdu","model":"gpt2-small","batch":4,"precision":"BF16","mode":"O1"}`,
+		`{"platform":"ipu","model":"gpt2-small","layers":4,"batch":2048,"precision":"FP16","pipeline_parallel":4}`,
+		`{"platform":"gpu","model":"gpt2-small","batch":8,"precision":"FP16"}`,
+	}
+	platforms := experiments.PlatformNames()
+	for i, body := range bodies {
+		for _, lane := range []string{"cold", "warm"} {
+			resp, b := postRun(t, ts, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s run = %d: %s", platforms[i], lane, resp.StatusCode, b)
+			}
+			expo := scrapeMetrics(t, ts)
+			for j, pn := range platforms {
+				want := 0.0
+				if j <= i {
+					want = 1 // one real compile and run per platform so far
+				}
+				for _, stage := range []string{"compile", "run"} {
+					series := `dabench_pipeline_stage_seconds_count{platform="` + pn + `",stage="` + stage + `"}`
+					if got := metricValue(t, expo, series); got != want {
+						t.Errorf("after %s %s run: %s = %v, want %v", platforms[i], lane, series, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestServerTimingHeader checks the per-request breakdown rides every
 // serving lane: cold, L0 warm, and the bodiless 304.
 func TestServerTimingHeader(t *testing.T) {
