@@ -204,8 +204,8 @@ func runExperiments(args []string) error {
 		if st != nil {
 			st.Snapshot() // land the write-behind queue so the gauges reflect this run
 			s := st.Stats()
-			fmt.Fprintf(os.Stderr, "# store: %d/%d hits · %d entries · %d bytes in %s\n",
-				s.Hits, s.Hits+s.Misses, s.Entries, s.Bytes, *dataDir)
+			fmt.Fprintf(os.Stderr, "# store: %d/%d hits · %d puts · %d entries · %d bytes in %s\n",
+				s.Hits, s.Hits+s.Misses, s.Puts, s.Entries, s.Bytes, *dataDir)
 		}
 	}
 	return nil
@@ -460,8 +460,8 @@ func runScenarioRun(args []string) error {
 		if st != nil {
 			st.Snapshot()
 			s := st.Stats()
-			fmt.Fprintf(os.Stderr, "# store: %d/%d hits · %d entries · %d bytes in %s\n",
-				s.Hits, s.Hits+s.Misses, s.Entries, s.Bytes, *dataDir)
+			fmt.Fprintf(os.Stderr, "# store: %d/%d hits · %d puts · %d entries · %d bytes in %s\n",
+				s.Hits, s.Hits+s.Misses, s.Puts, s.Entries, s.Bytes, *dataDir)
 		}
 	}
 	return out.Render(os.Stdout, *csv)

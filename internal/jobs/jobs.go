@@ -544,11 +544,28 @@ func (m *Manager) execute(j *job) {
 		persistErr = writeFileAtomic(m.resultPath(j.id), result)
 	}
 
+	if m.settle(j, result, err, persistErr) == StateCancelled && err == nil && m.journal != nil {
+		// The run finished after its cancel was acknowledged: the blob
+		// it persisted belongs to a job that is not done. Best effort —
+		// Result serves only done jobs, so a leftover file is inert.
+		_ = os.Remove(m.resultPath(j.id))
+	}
+}
+
+// settle records a finished execution's terminal transition (or its
+// requeue on daemon shutdown) and returns the job's new state.
+func (m *Manager) settle(j *job, result json.RawMessage, err, persistErr error) State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.cancel = nil
 	now := time.Now().UTC()
 	switch {
+	case j.cancelRequested:
+		// A cancel acknowledged with 200 is a promise: the job settles
+		// cancelled whatever the run returned, even success.
+		j.state = StateCancelled
+		j.finish = now
+		m.append(record{Job: j.id, Event: eventCancelled, Time: now}, true)
 	case err == nil && persistErr != nil:
 		j.state = StateFailed
 		j.err = fmt.Sprintf("persist result: %v", persistErr)
@@ -561,23 +578,20 @@ func (m *Manager) execute(j *job) {
 		j.state = StateDone
 		j.finish = now
 		m.append(record{Job: j.id, Event: eventDone, Time: now, Done: j.done, Failed: j.failed}, true)
-	case m.baseCtx.Err() != nil && !j.cancelRequested:
+	case m.baseCtx.Err() != nil:
 		// Daemon shutdown, not a user cancel: leave the job's journal
 		// trail at "running" so the next boot revives it. In-memory
 		// state goes back to queued for accuracy until exit.
 		j.state = StateQueued
 		j.started = time.Time{}
 		m.queuedGauge.Add(1)
-	case j.cancelRequested && errors.Is(err, context.Canceled):
-		j.state = StateCancelled
-		j.finish = now
-		m.append(record{Job: j.id, Event: eventCancelled, Time: now}, true)
 	default:
 		j.state = StateFailed
 		j.err = err.Error()
 		j.finish = now
 		m.append(record{Job: j.id, Event: eventFailed, Time: now, Error: j.err}, true)
 	}
+	return j.state
 }
 
 // maxEphemeralResults bounds how many finished jobs' results an

@@ -152,6 +152,50 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// TestAcknowledgedCancelWinsOverSuccess: a run that ignores its
+// context and succeeds after a 200-acknowledged cancel must still
+// settle cancelled, journal it, and leave no result blob behind.
+func TestAcknowledgedCancelWinsOverSuccess(t *testing.T) {
+	dir := t.TempDir()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	m, err := Open(Config{Dir: dir, Run: func(_ context.Context, _ json.RawMessage, _ func(int, int)) (json.RawMessage, error) {
+		close(started)
+		<-release // never looks at ctx
+		return json.RawMessage(`{}`), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := m.Submit(json.RawMessage(`{}`), 1)
+	<-started
+	if _, err := m.Cancel(v.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	var got View
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if got, _ = m.Get(v.ID); got.State.Terminal() {
+			break
+		}
+	}
+	if got.State != StateCancelled {
+		t.Fatalf("acknowledged cancel settled as %s", got.State)
+	}
+	m.Close()
+	if _, err := os.Stat(m.resultPath(v.ID)); !os.IsNotExist(err) {
+		t.Errorf("cancelled job left its result blob: %v", err)
+	}
+	m2, err := Open(Config{Dir: dir, Run: echoRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if got, _ = m2.Get(v.ID); got.State != StateCancelled {
+		t.Errorf("replayed job = %s, want cancelled", got.State)
+	}
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	gate := make(chan struct{})
 	m, err := Open(Config{Dir: t.TempDir(), Workers: 1,

@@ -95,7 +95,12 @@ func (c *cached) Compile(spec TrainSpec) (*CompileReport, error) {
 		if c.rs != nil {
 			switch {
 			case err == nil:
-				c.rs.Store(c.p.Name(), key, Stored{Compile: cr})
+				// One write per outcome: the run cell's miss stores
+				// compile and run together (see CachedWithStore). Only a
+				// Run error leaves the compile report to persist alone.
+				if _, rerr := c.Run(cr); rerr != nil {
+					c.rs.Store(c.p.Name(), key, Stored{Compile: cr})
+				}
 			case IsCompileFailure(err):
 				// Placement failures are deterministic findings, worth
 				// persisting; validation errors are cheap to rediscover.

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,8 @@ import (
 type countingPlatform struct {
 	compiles atomic.Int64
 	runs     atomic.Int64
-	fail     bool
+	fail     bool // Compile reports a placement failure
+	runFail  bool // Run returns an error
 }
 
 func (p *countingPlatform) Name() string       { return "fake" }
@@ -30,6 +32,9 @@ func (p *countingPlatform) Compile(spec TrainSpec) (*CompileReport, error) {
 
 func (p *countingPlatform) Run(cr *CompileReport) (*RunReport, error) {
 	p.runs.Add(1)
+	if p.runFail {
+		return nil, errors.New("fake: run failed")
+	}
 	return &RunReport{Compile: cr, TokensPerSec: 1}, nil
 }
 

@@ -52,6 +52,15 @@ type RawResponseStore interface {
 // When a loaded entry already carries its run report, the run cell is
 // seeded too — a fully warm spec costs two map lookups and zero
 // simulation. rs may be nil, which is plain Cached.
+//
+// Each computed outcome is written once. A successful compile miss
+// runs the report through the run cell before returning, and that
+// cell's miss stores compile and run together; the caller's own Run is
+// then a cell hit. A Run costs microseconds while a store write costs
+// a marshal and a file, so this beats persisting a compile-only blob
+// and rewriting it when the run lands. It also means a compile-only
+// caller persists the run report too. The compile cell itself writes
+// only placement failures, plus a compile-only blob when Run fails.
 func CachedWithStore(p Platform, rs ResultStore) CachedPlatform {
 	c := &cached{
 		p:       p,

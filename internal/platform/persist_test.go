@@ -11,6 +11,7 @@ type mapStore struct {
 	mu      sync.Mutex
 	entries map[string]Stored
 	loads   int
+	stores  int
 }
 
 func newMapStore() *mapStore { return &mapStore{entries: map[string]Stored{}} }
@@ -28,6 +29,7 @@ func (m *mapStore) Load(p, k string) (Stored, bool) {
 func (m *mapStore) Store(p, k string, s Stored) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.stores++
 	m.entries[m.key(p, k)] = s
 }
 
@@ -94,29 +96,78 @@ func TestStoreBackedPersistsPlacementFailure(t *testing.T) {
 	}
 }
 
-// TestStoreBackedWritesBehind: a cold compile+run lands in the store
-// (compile-only first, then with the run report).
-func TestStoreBackedWritesBehind(t *testing.T) {
-	rs := newMapStore()
-	under := &countingPlatform{}
-	c := CachedWithStore(under, rs)
+// TestStoreBackedWritesOnce: a computed outcome costs one store write.
+// The compile miss runs the report through the run cell, whose miss
+// stores compile and run together; nothing rewrites it afterwards.
+func TestStoreBackedWritesOnce(t *testing.T) {
 	spec := testSpec(8)
 
-	cr, err := c.Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := rs.entries[rs.key("fake", spec.Key())]
-	if !ok || st.Compile == nil || st.Run != nil {
-		t.Fatalf("after compile: stored = %+v, %v (want compile-only)", st, ok)
-	}
-	if _, err := c.Run(cr); err != nil {
-		t.Fatal(err)
-	}
-	st = rs.entries[rs.key("fake", spec.Key())]
-	if st.Run == nil {
-		t.Fatalf("after run: stored entry lacks the run report: %+v", st)
-	}
+	t.Run("compile then run", func(t *testing.T) {
+		rs := newMapStore()
+		under := &countingPlatform{}
+		c := CachedWithStore(under, rs)
+		cr, err := c.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, ok := rs.entries[rs.key("fake", spec.Key())]
+		if !ok || st.Compile == nil || st.Run == nil || len(rs.entries) != 1 {
+			t.Fatalf("after compile: stored = %+v, %v, %d entries (want one compile+run entry)", st, ok, len(rs.entries))
+		}
+		if rs.stores != 1 || under.runs.Load() != 1 {
+			t.Fatalf("after compile: %d stores, %d runs, want 1/1", rs.stores, under.runs.Load())
+		}
+		if _, err := c.Run(cr); err != nil {
+			t.Fatal(err)
+		}
+		if rs.stores != 1 || under.runs.Load() != 1 {
+			t.Errorf("caller's Run: %d stores, %d runs, want 1/1", rs.stores, under.runs.Load())
+		}
+		if got := c.RunCacheStats(); got.Misses != 1 || got.Hits != 1 {
+			t.Errorf("run cell = %+v, want 1 miss and 1 hit", got)
+		}
+	})
+
+	t.Run("compile only", func(t *testing.T) {
+		rs := newMapStore()
+		if _, err := CachedWithStore(&countingPlatform{}, rs).Compile(spec); err != nil {
+			t.Fatal(err)
+		}
+		if st := rs.entries[rs.key("fake", spec.Key())]; rs.stores != 1 || st.Compile == nil {
+			t.Errorf("compile-only caller: %d stores, entry %+v, want 1 persisted", rs.stores, st)
+		}
+	})
+
+	t.Run("placement failure", func(t *testing.T) {
+		rs := newMapStore()
+		if _, err := CachedWithStore(&countingPlatform{fail: true}, rs).Compile(spec); !IsCompileFailure(err) {
+			t.Fatalf("want compile failure, got %v", err)
+		}
+		st := rs.entries[rs.key("fake", spec.Key())]
+		if rs.stores != 1 || !st.Failed || st.Compile != nil || st.Run != nil {
+			t.Errorf("placement failure: %d stores, entry %+v, want one Failed entry", rs.stores, st)
+		}
+	})
+
+	t.Run("run error", func(t *testing.T) {
+		rs := newMapStore()
+		under := &countingPlatform{runFail: true}
+		c := CachedWithStore(under, rs)
+		cr, err := c.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := rs.entries[rs.key("fake", spec.Key())]
+		if rs.stores != 1 || st.Compile == nil || st.Run != nil || st.Failed {
+			t.Errorf("run error: %d stores, entry %+v, want one compile-only entry", rs.stores, st)
+		}
+		if _, err := c.Run(cr); err == nil {
+			t.Error("caller's Run lost the cached run error")
+		}
+		if rs.stores != 1 || under.runs.Load() != 1 {
+			t.Errorf("caller's Run after error: %d stores, %d runs, want 1/1", rs.stores, under.runs.Load())
+		}
+	})
 }
 
 // TestCachedWithNilStoreIsPlainCached guards the default path: Cached

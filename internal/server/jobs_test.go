@@ -329,3 +329,41 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	}
 	st2.Close()
 }
+
+// TestColdOutcomesWriteOnce: with a real store mounted, each cold
+// outcome is one blob write. A cold 6-point sweep puts 6 blobs and a
+// cold /v1/run one more; the response bytes /v1/run attaches are a
+// merge into that blob, not a put.
+func TestColdOutcomesWriteOnce(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	experiments.ResetCaches()
+	experiments.SetResultStore(st)
+	defer func() {
+		experiments.SetResultStore(nil)
+		experiments.ResetCaches()
+	}()
+	ts := newTestServer(t, Config{Store: st})
+
+	resp, b := postJSON(t, ts.URL+"/v1/sweep",
+		`{"platform":"wse","model":"gpt2-small","layer_counts":[2,4,6],"batches":[128,256]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold sweep: %d %s", resp.StatusCode, b)
+	}
+	st.Snapshot()
+	if got := st.Stats().Puts; got != 6 {
+		t.Errorf("after a cold 6-point sweep: %d puts, want 6", got)
+	}
+
+	resp, b = postJSON(t, ts.URL+"/v1/run", `{"platform":"wse","model":"gpt2-small","layers":3,"batch":128}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold run: %d %s", resp.StatusCode, b)
+	}
+	st.Snapshot()
+	if got := st.Stats().Puts; got != 7 {
+		t.Errorf("after one more cold run: %d puts, want 7", got)
+	}
+}
