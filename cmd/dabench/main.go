@@ -214,9 +214,10 @@ func runExperiments(args []string) error {
 // mountStore installs the persistent result store under the shared
 // platforms when a data dir is given. The CLI mounts the same
 // content-addressed layout the daemon uses under <data-dir>/store, so
-// a CLI run after a daemon sweep (or vice versa) reuses the other's
-// results. Every blob write appends to the same provenance chain the
-// daemon maintains, so mixed CLI/daemon histories verify as one chain.
+// a CLI run finds the outcomes of the daemon's /v1/run calls (the only
+// ones the daemon persists) and a repeat CLI run answers from disk.
+// Every blob write appends to the same provenance chain the daemon
+// maintains, so mixed CLI/daemon histories verify as one chain.
 // The cleanup unmounts and flushes; it is safe to call when no store
 // was mounted.
 func mountStore(dataDir string, budget int64, inj *faults.Injector) (*store.Store, func(), error) {

@@ -195,7 +195,7 @@ func TestScenarioRunFromFile(t *testing.T) {
 
 // TestScenarioDataDirPersists: a scenario run with -data-dir lands its
 // compile/run outcomes in the shared content-addressed store, exactly
-// like the experiments subcommand and the daemon.
+// like the experiments subcommand.
 func TestScenarioDataDirPersists(t *testing.T) {
 	dir := t.TempDir()
 	experiments.ResetCaches()

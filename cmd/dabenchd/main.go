@@ -18,31 +18,32 @@
 //
 // Clustering: -peers (with -node-id and -data-dir) joins the daemon to
 // a static fleet. Nodes poll each other's /v1/gossip for health, store
-// gauges and provenance chain tips; a local store miss consults a
-// consistent-hash ring and fetches the framed blob from a peer (GET
-// /v1/blobs/{addr}) before falling back to simulation, adopting what it
-// fetched; async job chunks shard across live peers (POST /v1/chunks)
-// with local reassignment when an owner fails. Every peer interaction
-// is breaker-guarded and timeout-bounded — a dead peer degrades the
-// fleet to single-node behavior, never breaks it. See DESIGN.md
-// "Cluster fabric".
+// gauges and provenance chain tips; a /v1/run that misses the local
+// store consults a consistent-hash ring and fetches the framed blob
+// from a peer (GET /v1/blobs/{addr}) before falling back to
+// simulation, adopting what it fetched; async job chunks shard across
+// live peers (POST /v1/chunks) with local reassignment when an owner
+// fails. Every peer interaction is breaker-guarded and timeout-bounded
+// — a dead peer degrades the fleet to single-node behavior, never
+// breaks it. See DESIGN.md "Cluster fabric".
 //
 // Observability: GET /metrics renders every internal counter plus
 // per-request stage and per-platform pipeline latency histograms in
 // Prometheus text exposition; each served response carries a
 // Server-Timing header with its stage breakdown, and -stage-log
 // appends the same breakdown as one CSV row per request. With
-// -data-dir every store blob write also appends to a hash-linked
-// provenance chain at DIR/provenance.log (GET /v1/provenance/{addr}
-// looks records up; `dabench provenance verify` audits the chain
-// offline). A chain that fails verification at startup is fatal.
+// -data-dir every store blob write (one per cold /v1/run) also
+// appends to a hash-linked provenance chain at DIR/provenance.log (GET
+// /v1/provenance/{addr} looks records up; `dabench provenance verify`
+// audits the chain offline). A chain that fails verification at
+// startup is fatal.
 //
 // Repeat requests ride the warm serve path: responses carry strong
 // ETags (If-None-Match revalidation answers 304 with no body and no
 // simulation slot), and the response-byte cache — bounded by
 // -resp-cache-budget, negative to disable — serves warm /v1/run,
 // /v1/sweep and scenario bodies as pre-marshaled bytes with zero JSON
-// work. With -data-dir the store's framed blobs keep those bytes
+// work. With -data-dir the store's framed blobs keep /v1/run's bytes
 // across restarts.
 //
 // For resilience testing the daemon can run with deliberate fault
@@ -54,11 +55,16 @@
 // quarantined into a failed_chunks manifest, and /healthz reports
 // per-component degraded state. See DESIGN.md "Failure model".
 //
-// With -data-dir the daemon is durable: compile/run results persist in
-// a content-addressed store under DIR/store (so a restart answers
-// repeat specs with zero simulation), and async /v1/jobs state is
-// journaled under DIR/jobs (so a restart resumes interrupted jobs).
-// Without it everything lives and dies with the process.
+// With -data-dir the daemon is durable: each cold /v1/run persists its
+// outcome and response bytes as one frame in a content-addressed store
+// under DIR/store (so a restart answers a repeat /v1/run with zero
+// simulation), and async /v1/jobs state is journaled under DIR/jobs
+// (so a restart resumes interrupted jobs). Sweep, job, chunk and
+// scenario points are not persisted: they recompute, because one blob
+// write costs more than recomputing a point on every platform but the
+// RDU. (The CLI's `experiments -data-dir` still mounts the store under
+// its memo tiers.) Without -data-dir everything lives and dies with the
+// process.
 //
 // Beyond single runs, sweeps and the paper's experiment artifacts, the
 // daemon executes declarative multi-platform scenarios: GET
@@ -248,15 +254,9 @@ func run(args []string) error {
 			return err
 		}
 		defer st.Close() // flush the write-behind queue on the way out
-		if fab != nil {
-			// With a fabric, the memo tiers miss into the peer-fetch wrapper
-			// instead of the bare store: a spec any fleet member computed is
-			// warm here after one bounded peer fetch.
-			experiments.SetResultStore(fab.WrapStore(st))
-		} else {
-			experiments.SetResultStore(st)
-		}
-		defer experiments.SetResultStore(nil)
+		// The store backs /v1/run's byte lane only (server.Config.Store);
+		// the memo tiers stay RAM-only, so sweep, job, chunk and scenario
+		// points recompute instead of paying a blob write each.
 		cfg.Store = st
 		cfg.Provenance = prov
 		cfg.JobsDir = filepath.Join(*dataDir, "jobs")

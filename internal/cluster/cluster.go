@@ -1,10 +1,11 @@
 // Package cluster is the multi-node result fabric: static peer
 // membership, a pull-based gossip heartbeat, and a consistent-hash ring
 // that turns the store's content addresses into a cluster-wide
-// namespace. A spec compiled on any node is warm everywhere — a local
-// store miss consults the ring and fetches the framed blob from a peer
-// (GET /v1/blobs/{addr}) before falling back to simulation, and the
-// fetched frame is adopted into the local store so heat spreads.
+// namespace. A /v1/run outcome computed on any node is warm
+// everywhere — a /v1/run that misses the local store consults the ring
+// and fetches the framed blob from a peer (GET /v1/blobs/{addr})
+// before falling back to simulation, and the fetched frame is adopted
+// into the local store so heat spreads.
 //
 // Membership is static on purpose: the fabric targets small fleets
 // declared in a compose file or a unit file (-peers id=url,...), where

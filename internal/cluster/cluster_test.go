@@ -38,9 +38,9 @@ func TestParsePeers(t *testing.T) {
 func TestNewValidatesMembership(t *testing.T) {
 	peers := []PeerConfig{{ID: "b", URL: "http://b"}}
 	cases := []Config{
-		{Peers: peers},              // no node id
-		{NodeID: "a"},               // no peers
-		{NodeID: "a", Peers: []PeerConfig{{ID: "a", URL: "http://a"}}},                          // self collision
+		{Peers: peers}, // no node id
+		{NodeID: "a"},  // no peers
+		{NodeID: "a", Peers: []PeerConfig{{ID: "a", URL: "http://a"}}},                              // self collision
 		{NodeID: "a", Peers: []PeerConfig{{ID: "b", URL: "http://b"}, {ID: "b", URL: "http://b2"}}}, // dup
 	}
 	for i, cfg := range cases {
@@ -279,7 +279,7 @@ func TestNilFabricIsSingleNode(t *testing.T) {
 		t.Error("nil fabric had a peer tip")
 	}
 	fs := f.WrapStore(nil)
-	if _, _, ok := fs.fetchAdopt("wse", "k"); ok {
+	if _, ok := fs.fetchAdopt("wse", "k"); ok {
 		t.Error("nil-fabric wrapper adopted")
 	}
 }

@@ -7,16 +7,18 @@ import (
 
 // FabricStore wraps a local *store.Store with the peer-fetch tier: the
 // network generalization of the store's local sibling-blob adoption. A
-// local miss consults the ring, fetches the framed blob from a peer,
-// verifies and adopts it into the local store (write-behind, budget-
-// enforced — the adoption is a put like any other), and answers from
-// the adopted bytes. Writes delegate untouched: every node persists
-// only what it computed or adopted, and replication happens by demand
-// (heat spreads to where the requests are), not by push.
+// local raw miss consults the ring, fetches the framed blob from a
+// peer, verifies and adopts it into the local store (write-behind,
+// budget-enforced — the adoption is a put like any other), and answers
+// from the adopted frame's response bytes. Writes delegate untouched:
+// every node persists only what it computed or adopted, and
+// replication happens by demand (heat spreads to where the requests
+// are), not by push.
 //
-// It implements platform.RawResponseStore, so it mounts wherever the
-// bare store does: under the memo tiers via experiments.SetResultStore
-// and as the server's raw byte lane.
+// It is the server's /v1/run byte lane on a fleet node, and nothing
+// else: the memo tiers never mount it, so a cold /v1/run probes its
+// peers once, and sweeps, jobs, chunks and scenarios never probe them
+// at all.
 type FabricStore struct {
 	local  *store.Store
 	fabric *Fabric
@@ -30,47 +32,31 @@ func (f *Fabric) WrapStore(local *store.Store) *FabricStore {
 	return &FabricStore{local: local, fabric: f}
 }
 
-// fetchAdopt is the shared miss path: fetch the frame for (platform,
-// specKey) from a peer and adopt it locally. Returns the decoded
-// outcome, the frame's response section (nil when absent), and whether
-// anything was adopted.
-func (fs *FabricStore) fetchAdopt(platformName, specKey string) (platform.Stored, []byte, bool) {
+// fetchAdopt is the miss path: fetch the frame for (platform, specKey)
+// from a peer and adopt it locally. Returns the frame's response
+// section (nil when absent) and whether anything was adopted.
+func (fs *FabricStore) fetchAdopt(platformName, specKey string) ([]byte, bool) {
 	if fs.fabric == nil {
-		return platform.Stored{}, nil, false
+		return nil, false
 	}
-	// The platform.ResultStore seam carries no request context, so the
-	// fetch runs under the fabric's lifecycle root: still bounded by
+	// The platform.RawResponseStore seam carries no request context, so
+	// the fetch runs under the fabric's lifecycle root: still bounded by
 	// FetchTimeout per peer, and cancelled the moment the fabric
 	// closes — a draining daemon no longer leaks peer fetches.
 	addr := store.Address(platformName, specKey)
 	data, _, ok := fs.fabric.FetchFrame(fs.fabric.baseCtx, addr)
 	if !ok {
-		return platform.Stored{}, nil, false
+		return nil, false
 	}
-	st, resp, err := fs.local.AdoptFrame(addr, data)
+	_, resp, err := fs.local.AdoptFrame(addr, data)
 	if err != nil {
 		// A frame that does not verify is counted like a transport error:
 		// the peer sent bytes we cannot trust.
 		fs.fabric.fetchErrors.Add(1)
-		return platform.Stored{}, nil, false
+		return nil, false
 	}
 	fs.fabric.noteAdoption()
-	return st, resp, true
-}
-
-// Load implements platform.ResultStore: local store first, then the
-// peer tier.
-func (fs *FabricStore) Load(platformName, specKey string) (platform.Stored, bool) {
-	if st, ok := fs.local.Load(platformName, specKey); ok {
-		return st, true
-	}
-	st, _, ok := fs.fetchAdopt(platformName, specKey)
-	return st, ok
-}
-
-// Store implements platform.ResultStore, delegating to the local store.
-func (fs *FabricStore) Store(platformName, specKey string, st platform.Stored) {
-	fs.local.Store(platformName, specKey, st)
+	return resp, true
 }
 
 // LoadRaw implements the byte-level warm lane: local frame first, then
@@ -81,14 +67,14 @@ func (fs *FabricStore) LoadRaw(platformName, specKey string) ([]byte, bool) {
 	if raw, ok := fs.local.LoadRaw(platformName, specKey); ok {
 		return raw, true
 	}
-	_, resp, ok := fs.fetchAdopt(platformName, specKey)
+	resp, ok := fs.fetchAdopt(platformName, specKey)
 	if !ok || len(resp) == 0 {
 		return nil, false
 	}
 	return resp, true
 }
 
-// StoreResponse delegates to the local store.
-func (fs *FabricStore) StoreResponse(platformName, specKey string, resp []byte) {
-	fs.local.StoreResponse(platformName, specKey, resp)
+// StoreWithResponse delegates to the local store.
+func (fs *FabricStore) StoreWithResponse(platformName, specKey string, st platform.Stored, resp []byte) {
+	fs.local.StoreWithResponse(platformName, specKey, st, resp)
 }

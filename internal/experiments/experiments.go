@@ -129,9 +129,11 @@ func OnReset(fn func()) (cancel func()) {
 // write-behind L2 under every shared platform's compile and run tiers
 // (nil uninstalls it). The in-memory cells are rebuilt empty: entries
 // already computed are either in rs (warm again after one lookup) or
-// recomputable. Both dabenchd and the CLI's -data-dir route through
-// this one seam, which is what lets a CLI run after a daemon sweep hit
-// the daemon's persisted results.
+// recomputable. The CLI's -data-dir routes through this one seam, so a
+// CLI run over a data dir the daemon also uses hits the daemon's
+// persisted /v1/run outcomes. dabenchd itself mounts no store here:
+// its sweep, job and scenario points recompute, because a blob write
+// costs more than recomputing one.
 func SetResultStore(rs platform.ResultStore) {
 	platMu.Lock()
 	defer platMu.Unlock()

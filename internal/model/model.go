@@ -74,6 +74,12 @@ type Config struct {
 	Activation     Activation
 }
 
+// MaxLayers bounds a model's decoder-layer count, about 10× the
+// deepest preset (80 layers). Simulation time and memory grow linearly
+// with depth, so without a bound one request body could exhaust a
+// daemon's memory.
+const MaxLayers = 1024
+
 // Validate reports a descriptive error for an inconsistent config.
 func (c Config) Validate() error {
 	switch {
@@ -81,6 +87,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model %q: hidden size %d must be positive", c.Name, c.HiddenSize)
 	case c.NumLayers <= 0:
 		return fmt.Errorf("model %q: layer count %d must be positive", c.Name, c.NumLayers)
+	case c.NumLayers > MaxLayers:
+		return fmt.Errorf("model %q: layer count %d exceeds the maximum of %d", c.Name, c.NumLayers, MaxLayers)
 	case c.NumHeads <= 0:
 		return fmt.Errorf("model %q: head count %d must be positive", c.Name, c.NumHeads)
 	case c.HiddenSize%c.NumHeads != 0:

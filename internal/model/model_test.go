@@ -51,6 +51,7 @@ func TestValidate(t *testing.T) {
 	bad := []Config{
 		func() Config { c := good; c.HiddenSize = 0; return c }(),
 		func() Config { c := good; c.NumLayers = -1; return c }(),
+		func() Config { c := good; c.NumLayers = MaxLayers + 1; return c }(),
 		func() Config { c := good; c.NumHeads = 5; return c }(), // 768 % 5 != 0
 		func() Config { c := good; c.KVHeads = 7; return c }(),  // 12 % 7 != 0
 		func() Config { c := good; c.FFNHidden = 0; return c }(),
@@ -66,6 +67,9 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", c.Name, err)
 		}
+	}
+	if err := good.WithLayers(MaxLayers).Validate(); err != nil {
+		t.Errorf("config at the layer bound rejected: %v", err)
 	}
 }
 

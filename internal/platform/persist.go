@@ -4,9 +4,9 @@ import "dabench/internal/memo"
 
 // Stored is the durable form of one spec's pipeline outcome: the
 // compile report, the run report once the workload has executed, or a
-// placement failure. It is what a ResultStore persists per
-// (platform, spec-key) pair — internal/store serializes it as a
-// versioned JSON blob.
+// placement failure. It is what a ResultStore or RawResponseStore
+// persists per (platform, spec-key) pair — internal/store serializes
+// it as a versioned JSON blob.
 type Stored struct {
 	Compile *CompileReport `json:"compile,omitempty"`
 	Run     *RunReport     `json:"run,omitempty"`
@@ -31,18 +31,17 @@ type ResultStore interface {
 	Store(platformName, specKey string, s Stored)
 }
 
-// RawResponseStore is the optional byte-oriented extension of
-// ResultStore behind the warm serve path: implementations keep the
-// pre-marshaled response bytes for an outcome next to its canonical
-// payload, so a warm request is answered from bytes with zero JSON
-// work. LoadRaw returns servable bytes (and false on any miss or
-// failure — like Load, this tier must degrade to recompute, never
-// error); StoreResponse attaches bytes write-behind and may drop them
-// freely. internal/store implements it with v2 framed blobs.
+// RawResponseStore is the byte-oriented tier behind the warm serve
+// path: implementations keep the pre-marshaled response bytes for an
+// outcome next to its canonical payload, so a warm request is answered
+// from bytes with zero JSON work. LoadRaw returns servable bytes (and
+// false on any miss or failure — this tier must degrade to recompute,
+// never error); StoreWithResponse persists an outcome and its response
+// bytes together, write-behind, and may drop them freely.
+// internal/store implements it with v2 framed blobs.
 type RawResponseStore interface {
-	ResultStore
 	LoadRaw(platformName, specKey string) ([]byte, bool)
-	StoreResponse(platformName, specKey string, resp []byte)
+	StoreWithResponse(platformName, specKey string, s Stored, resp []byte)
 }
 
 // CachedWithStore is Cached with a persistent read-through /

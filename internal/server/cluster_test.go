@@ -78,7 +78,6 @@ func newFleet(t *testing.T, n int, inj *faults.Injector) []*fleetNode {
 	return nodes
 }
 
-
 // TestClusterWarmServeFromPeer pins the tentpole's acceptance
 // criterion: a spec computed on node A serves warm from node B via peer
 // fetch — zero compile misses on B, response bytes identical to A's,
@@ -89,22 +88,17 @@ func TestClusterWarmServeFromPeer(t *testing.T) {
 
 	// Phase A: node A computes the spec cold and persists it.
 	experiments.ResetCaches()
-	experiments.SetResultStore(a.fab.WrapStore(a.st))
-	defer func() {
-		experiments.SetResultStore(nil)
-		experiments.ResetCaches()
-	}()
+	defer experiments.ResetCaches()
 	resp, bodyA := postRunWith(t, a.ts.URL, warmRunBody, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("node A run = %d: %s", resp.StatusCode, bodyA)
 	}
 	a.st.Snapshot() // drain the write-behind frame before B comes asking
 
-	// Phase B: memo tiers dropped, node B's store (empty) mounted. The
-	// only warm copy of the spec in the world is node A's store — B must
-	// serve through the peer-fetch tier, not recompute.
+	// Phase B: memo tiers dropped, node B's store empty. The only warm
+	// copy of the spec in the world is node A's store — B must serve
+	// through the peer-fetch tier, not recompute.
 	experiments.ResetCaches()
-	experiments.SetResultStore(b.fab.WrapStore(b.st))
 	missesBefore := experiments.CacheStats().Misses
 	resp, bodyB := postRunWith(t, b.ts.URL, warmRunBody, "")
 	if resp.StatusCode != http.StatusOK {
@@ -228,13 +222,20 @@ func TestClusterBlobEndpointRejectsMalformedAddrs(t *testing.T) {
 // TestClusterDegradedFabricFallsBack pins the failure posture: with
 // every peer call failing under the injector, the breaker opens after
 // its threshold and requests fall back to simulation — never an error,
-// and byte-identical to a single-node serve.
+// and byte-identical to a single-node serve. A cold /v1/run probes its
+// peers once, so the threshold-2 breaker opens on the second distinct
+// cold spec, not the first.
 func TestClusterDegradedFabricFallsBack(t *testing.T) {
+	bodies := []string{warmRunBody, `{"platform":"wse","model":"gpt2-small","batch":128,"seq":1024}`}
 	experiments.ResetCaches()
 	standalone := newTestServer(t, Config{})
-	resp, baseline := postRunWith(t, standalone.URL, warmRunBody, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("standalone run = %d", resp.StatusCode)
+	baselines := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		resp, b := postRunWith(t, standalone.URL, body, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("standalone run %d = %d", i, resp.StatusCode)
+		}
+		baselines[i] = b
 	}
 
 	inj := serverInjector(t, faults.Spec{Rules: []faults.Rule{
@@ -244,26 +245,28 @@ func TestClusterDegradedFabricFallsBack(t *testing.T) {
 	a := nodes[0]
 
 	experiments.ResetCaches()
-	experiments.SetResultStore(a.fab.WrapStore(a.st))
-	defer func() {
-		experiments.SetResultStore(nil)
-		experiments.ResetCaches()
-	}()
-	for i := 0; i < 4; i++ {
-		resp, got := postRunWith(t, a.ts.URL, warmRunBody, "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %d under peer faults = %d (a degraded fabric must never surface)", i, resp.StatusCode)
+	defer experiments.ResetCaches()
+	for i, body := range bodies {
+		for rep := 0; rep < 2; rep++ {
+			resp, got := postRunWith(t, a.ts.URL, body, "")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("spec %d run %d under peer faults = %d (a degraded fabric must never surface)", i, rep, resp.StatusCode)
+			}
+			if !bytes.Equal(baselines[i], got) {
+				t.Errorf("spec %d run %d under peer faults diverged from the single-node serve", i, rep)
+			}
 		}
-		if !bytes.Equal(baseline, got) {
-			t.Errorf("run %d under peer faults diverged from the single-node serve", i)
+		st := a.fab.Stats()
+		if st.PeerFetchErrors != int64(i+1) {
+			t.Errorf("after %d cold spec(s): peer fetch errors = %d, want %d (one probe per cold /v1/run)", i+1, st.PeerFetchErrors, i+1)
 		}
-	}
-	st := a.fab.Stats()
-	if st.PeerFetchErrors < 2 {
-		t.Errorf("peer fetch errors = %d, want >= 2 (the injector fails every call)", st.PeerFetchErrors)
-	}
-	if st.Peers[0].Breaker != "open" {
-		t.Errorf("peer breaker = %s after %d errors, want open", st.Peers[0].Breaker, st.PeerFetchErrors)
+		wantBreaker := "closed"
+		if i == 1 {
+			wantBreaker = "open"
+		}
+		if st.Peers[0].Breaker != wantBreaker {
+			t.Errorf("after %d cold spec(s): peer breaker = %s, want %s", i+1, st.Peers[0].Breaker, wantBreaker)
+		}
 	}
 }
 

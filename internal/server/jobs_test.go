@@ -281,37 +281,37 @@ func TestStatsReportsStoreAndJobs(t *testing.T) {
 
 // TestWarmRestartServesFromStore is the durability acceptance: with a
 // data dir, a "restarted daemon" (fresh memo cells + fresh Store over
-// the same directory) must answer an identical sweep byte-for-byte
-// with all points served from the persistent store.
+// the same directory) must answer an identical /v1/run byte-for-byte
+// from the store's raw lane, with zero compiles.
 func TestWarmRestartServesFromStore(t *testing.T) {
 	dir := t.TempDir()
-	const body = `{"platform":"rdu","model":"gpt2-small","batch":4,"precision":"BF16","mode":"O1","layer_counts":[2,4],"batches":[4,8]}`
+	const body = `{"platform":"rdu","model":"gpt2-small","layers":4,"batch":4,"precision":"BF16","mode":"O1"}`
 
 	experiments.ResetCaches()
+	defer experiments.ResetCaches()
 	st1, err := store.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.SetResultStore(st1)
-	defer experiments.SetResultStore(nil)
 	ts1 := newTestServer(t, Config{Store: st1})
-	resp, cold := postJSON(t, ts1.URL+"/v1/sweep", body)
+	resp, cold := postJSON(t, ts1.URL+"/v1/run", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold sweep: %d %s", resp.StatusCode, cold)
+		t.Fatalf("cold run: %d %s", resp.StatusCode, cold)
 	}
 	ts1.Close()
 	st1.Close() // flush write-behind; "process exit"
 
 	// The restart: new store over the same dir, empty memo tiers.
+	experiments.ResetCaches()
 	st2, err := store.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.SetResultStore(st2)
+	defer st2.Close()
 	ts2 := newTestServer(t, Config{Store: st2})
-	resp, warm := postJSON(t, ts2.URL+"/v1/sweep", body)
+	resp, warm := postJSON(t, ts2.URL+"/v1/run", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm sweep: %d %s", resp.StatusCode, warm)
+		t.Fatalf("warm run: %d %s", resp.StatusCode, warm)
 	}
 	if !bytes.Equal(cold, warm) {
 		t.Errorf("restart changed the response:\ncold: %s\nwarm: %s", cold, warm)
@@ -322,18 +322,18 @@ func TestWarmRestartServesFromStore(t *testing.T) {
 	if stats.Store == nil {
 		t.Fatal("no store stats")
 	}
-	// 4 sweep points = 4 unique specs, every one answered by the store:
-	// zero simulator compiles in the new process.
-	if stats.Store.Hits != 4 || stats.Store.Misses != 0 {
-		t.Errorf("store after restart: %d hits / %d misses, want 4/0", stats.Store.Hits, stats.Store.Misses)
+	if stats.Store.RawHits != 1 {
+		t.Errorf("store after restart: %d raw hits, want 1", stats.Store.RawHits)
 	}
-	st2.Close()
+	if m := stats.Caches["compile"].Misses; m != 0 {
+		t.Errorf("restarted process paid %d compile misses, want 0", m)
+	}
 }
 
-// TestColdOutcomesWriteOnce: with a real store mounted, each cold
-// outcome is one blob write. A cold 6-point sweep puts 6 blobs and a
-// cold /v1/run one more; the response bytes /v1/run attaches are a
-// merge into that blob, not a put.
+// TestColdOutcomesWriteOnce: with a real store behind the server, only
+// /v1/run persists, one frame per cold outcome. A cold 6-point sweep
+// recomputes and writes nothing; a cold /v1/run writes exactly one
+// frame, whose response section LoadRaw serves once it is flushed.
 func TestColdOutcomesWriteOnce(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -341,11 +341,7 @@ func TestColdOutcomesWriteOnce(t *testing.T) {
 	}
 	defer st.Close()
 	experiments.ResetCaches()
-	experiments.SetResultStore(st)
-	defer func() {
-		experiments.SetResultStore(nil)
-		experiments.ResetCaches()
-	}()
+	defer experiments.ResetCaches()
 	ts := newTestServer(t, Config{Store: st})
 
 	resp, b := postJSON(t, ts.URL+"/v1/sweep",
@@ -354,8 +350,8 @@ func TestColdOutcomesWriteOnce(t *testing.T) {
 		t.Fatalf("cold sweep: %d %s", resp.StatusCode, b)
 	}
 	st.Snapshot()
-	if got := st.Stats().Puts; got != 6 {
-		t.Errorf("after a cold 6-point sweep: %d puts, want 6", got)
+	if got := st.Stats().Puts; got != 0 {
+		t.Errorf("after a cold 6-point sweep: %d puts, want 0", got)
 	}
 
 	resp, b = postJSON(t, ts.URL+"/v1/run", `{"platform":"wse","model":"gpt2-small","layers":3,"batch":128}`)
@@ -363,7 +359,11 @@ func TestColdOutcomesWriteOnce(t *testing.T) {
 		t.Fatalf("cold run: %d %s", resp.StatusCode, b)
 	}
 	st.Snapshot()
-	if got := st.Stats().Puts; got != 7 {
-		t.Errorf("after one more cold run: %d puts, want 7", got)
+	if got := st.Stats().Puts; got != 1 {
+		t.Errorf("after one cold run: %d puts, want 1", got)
+	}
+	plat, key := bodyIdentity(t, b)
+	if raw, ok := st.LoadRaw(plat, key); !ok || !bytes.Equal(raw, b) {
+		t.Errorf("LoadRaw after the cold run: ok=%v, bytes equal=%v; want the served body", ok, bytes.Equal(raw, b))
 	}
 }

@@ -353,6 +353,9 @@ func (req SweepRequest) axes() (*sweepAxes, error) {
 		if l <= 0 {
 			return nil, fmt.Errorf("sweep axes must be positive (layer %d)", l)
 		}
+		if l > model.MaxLayers {
+			return nil, fmt.Errorf("layer count %d exceeds the maximum of %d", l, model.MaxLayers)
+		}
 	}
 	for _, b := range a.batches {
 		if b <= 0 {

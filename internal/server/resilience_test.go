@@ -133,8 +133,9 @@ func TestPoisonChunkIsQuarantined(t *testing.T) {
 
 // TestScenarioByteIdenticalUnderStoreWriteFaults is the acceptance
 // invariance: with 30% of store writes failing, a built-in scenario's
-// response must be byte-identical to the fault-free run — the store is
-// an optimization tier, never a correctness dependency.
+// response must be byte-identical to the fault-free run — scenario
+// points recompute and never wait on the store, which is an
+// optimization tier for /v1/run, never a correctness dependency.
 func TestScenarioByteIdenticalUnderStoreWriteFaults(t *testing.T) {
 	const url = "/v1/scenarios/cross-platform-throughput"
 
@@ -160,11 +161,7 @@ func TestScenarioByteIdenticalUnderStoreWriteFaults(t *testing.T) {
 	}
 	defer st.Close()
 	experiments.ResetCaches()
-	experiments.SetResultStore(st)
-	defer func() {
-		experiments.SetResultStore(nil)
-		experiments.ResetCaches()
-	}()
+	defer experiments.ResetCaches()
 
 	faulted := newTestServer(t, Config{Store: st})
 	resp, err = http.Get(faulted.URL + url)
@@ -182,8 +179,9 @@ func TestScenarioByteIdenticalUnderStoreWriteFaults(t *testing.T) {
 
 // TestStoreBreakerRecoveryVisibleInStats drives the write breaker
 // through its full trip → open → half-open probe → recovery cycle via
-// HTTP traffic and asserts every transition is observable in /v1/stats
-// and /healthz.
+// HTTP traffic — distinct cold /v1/run calls, one store write each —
+// and asserts every transition is observable in /v1/stats and
+// /healthz.
 func TestStoreBreakerRecoveryVisibleInStats(t *testing.T) {
 	const cooldown = 300 * time.Millisecond
 	// p=1 with a budget of exactly the trip threshold: the first two
@@ -202,21 +200,21 @@ func TestStoreBreakerRecoveryVisibleInStats(t *testing.T) {
 	}
 	defer st.Close()
 	experiments.ResetCaches()
-	experiments.SetResultStore(st)
-	defer func() {
-		experiments.SetResultStore(nil)
-		experiments.ResetCaches()
-	}()
+	defer experiments.ResetCaches()
 	ts := newTestServer(t, Config{Store: st})
-
-	// 16 store writes: 2 fail and trip, the rest are skipped (the
-	// cooldown comfortably outlasts the writer's drain).
-	resp, err := http.Get(ts.URL + "/v1/scenarios/cross-platform-throughput")
-	if err != nil {
-		t.Fatal(err)
+	coldRun := func(batch int) {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+"/v1/run", fmt.Sprintf(
+			`{"platform":"wse","model":"gpt2-small","layers":3,"batch":%d,"seq":1024,"precision":"FP16"}`, batch))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cold run at batch %d = %d: %s", batch, resp.StatusCode, b)
+		}
 	}
-	if b := readAll(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("scenario under write faults = %d: %s", resp.StatusCode, b)
+
+	// 3 store writes: 2 fail and trip, the third is skipped (the
+	// cooldown comfortably outlasts the writer's drain).
+	for _, batch := range []int{16, 32, 64} {
+		coldRun(batch)
 	}
 	st.Snapshot() // drain the write-behind queue before asserting
 
@@ -238,11 +236,7 @@ func TestStoreBreakerRecoveryVisibleInStats(t *testing.T) {
 	// Past the cooldown, the next write is the half-open probe; the
 	// fault budget is spent, so it succeeds and closes the breaker.
 	time.Sleep(cooldown + 50*time.Millisecond)
-	resp, b := postJSON(t, ts.URL+"/v1/run",
-		`{"platform":"wse","model":"gpt2-small","layers":3,"batch":128,"seq":1024,"precision":"FP16"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe-triggering run = %d: %s", resp.StatusCode, b)
-	}
+	coldRun(128)
 	st.Snapshot()
 
 	getJSON(t, ts.URL+"/v1/stats", &stats)

@@ -73,9 +73,11 @@ type Config struct {
 	// the store's raw path).
 	RespCacheBudget int64
 
-	// Store is the persistent result store whose counters /v1/stats
-	// reports (the wiring into the pipeline itself happens via
-	// experiments.SetResultStore). Nil when serving RAM-only.
+	// Store is the persistent result store behind /v1/run's byte lane:
+	// a cold run persists its outcome and response bytes there as one
+	// frame, and a repeat after a restart is served from it. Sweeps,
+	// jobs, chunks and scenarios never touch it. Nil when serving
+	// RAM-only.
 	Store *store.Store
 
 	// JobsDir is the job journal/results directory; "" runs the job
@@ -587,7 +589,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// L2 raw: the framed blob's pre-marshaled response section —
 	// servable bytes with zero JSON work, refilling L0 on the way out.
 	// With a fabric attached this tier reaches through peer fetch, so a
-	// spec any fleet member computed serves warm here.
+	// spec any fleet member served through /v1/run serves warm here.
 	if rs := s.rawStore(); rs != nil {
 		t := time.Now()
 		raw, ok := rs.LoadRaw(p.Name(), key)
@@ -629,13 +631,13 @@ func (s *Server) runSlow(w http.ResponseWriter, r *http.Request, p platform.Cach
 	cr, err := p.Compile(spec)
 	st.observe(stgCompile, time.Since(t))
 	if err != nil {
-		if platform.IsCompileFailure(err) {
+		if ce, ok := err.(*platform.CompileError); ok {
 			// A placement failure is a finding — the paper's "Fail"
 			// entries — not a request error, and it is as cacheable as
 			// a success (the store persists it as a Failed blob).
 			res := result(p, spec, nil, nil)
 			res.Failed, res.FailReason = true, err.Error()
-			return s.finishRun(w, p.Name(), etag, res, st)
+			return s.finishRun(w, p.Name(), etag, res, platform.Stored{Failed: true, FailReason: ce.Reason}, st)
 		}
 		// The simulators validate their inputs in Compile; anything
 		// that is neither placement nor validation would have failed
@@ -654,15 +656,15 @@ func (s *Server) runSlow(w http.ResponseWriter, r *http.Request, p platform.Cach
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return nil
 	}
-	return s.finishRun(w, p.Name(), etag, result(p, spec, cr, rr), st)
+	return s.finishRun(w, p.Name(), etag, result(p, spec, cr, rr), platform.Stored{Compile: cr, Run: rr}, st)
 }
 
 // finishRun marshals a run outcome exactly once and fans the bytes out
-// to every tier: the client, the L0 response cache, and the store's
-// frame response section (write-behind) so the next process boots with
-// a byte-warm path. Returns the entry it served (nil if encoding
-// failed).
-func (s *Server) finishRun(w http.ResponseWriter, platformName, etag string, res RunResult, st *stageTimer) *respEntry {
+// to every tier: the client, the L0 response cache, and the store,
+// where out and the bytes persist as one write-behind frame so the
+// next process boots with a byte-warm path. Returns the entry it
+// served (nil if encoding failed).
+func (s *Server) finishRun(w http.ResponseWriter, platformName, etag string, res RunResult, out platform.Stored, st *stageTimer) *respEntry {
 	t := time.Now()
 	buf, err := encodeJSON(res)
 	if err != nil {
@@ -673,10 +675,11 @@ func (s *Server) finishRun(w http.ResponseWriter, platformName, etag string, res
 	putBuf(buf)
 	st.observe(stgRender, time.Since(t))
 	if rs := s.rawStore(); rs != nil {
-		// The enqueue, not the disk write — the store is write-behind,
-		// so this is the full store cost the request path pays.
+		// The framing and enqueue, not the disk write — the store is
+		// write-behind, so this is the full store cost the request path
+		// pays.
 		t = time.Now()
-		rs.StoreResponse(platformName, res.SpecKey, body)
+		rs.StoreWithResponse(platformName, res.SpecKey, out, body)
 		st.observe(stgStoreWrite, time.Since(t))
 	}
 	s.finishStages(w, st)

@@ -129,6 +129,7 @@ func TestRunEndpointClientErrors(t *testing.T) {
 		{"unknown field", `{"platform":"wse","model":"gpt2-small","bogus":1}`, CodeBadRequest},
 		{"negative batch", `{"platform":"wse","model":"gpt2-small","batch":-4}`, CodeBadRequest},
 		{"seq over max", `{"platform":"wse","model":"gpt2-small","seq":999999}`, CodeBadRequest},
+		{"layers over max", `{"platform":"rdu","model":"gpt2-small","mode":"O3","layers":1025}`, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -374,6 +375,26 @@ func TestSweepBudget(t *testing.T) {
 	env = errorEnvelope{}
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Limit != 1 || env.Error.RequestedPoints != 2 {
 		t.Errorf("tight-budget rejection = %+v (%v)", env.Error, err)
+	}
+}
+
+// TestOverDeepLayerCountsRejected: a layer count above model.MaxLayers
+// on a sweep or job axis is a client error answered before any
+// simulation — a sweep must not compile it and a job must not be
+// accepted to compile it later.
+func TestOverDeepLayerCountsRejected(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	const body = `{"platform":"rdu","model":"gpt2-small","mode":"O3","layer_counts":[2,1025]}`
+	for _, path := range []string{"/v1/sweep", "/v1/jobs"} {
+		resp, b := postJSON(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with a 1025-layer axis = %d (%s), want 400", path, resp.StatusCode, b)
+			continue
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(b, &env); err != nil || !strings.Contains(env.Error.Message, "1024") {
+			t.Errorf("%s rejection = %s, want it to name the 1024-layer bound", path, b)
+		}
 	}
 }
 

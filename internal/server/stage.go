@@ -37,15 +37,13 @@ import (
 //	             are scheduler noise, not queueing)
 //	decode       body read + JSON decode + request resolution
 //	compile      platform.Compile (memo hits return in ns; the
-//	             pipeline histograms isolate real simulator work).
-//	             With a store mounted, a cold compile also runs the
-//	             report, so the outcome is persisted in one write
+//	             pipeline histograms isolate real simulator work)
 //	run          platform.Run, a sweep's full Map, or an experiment /
-//	             scenario execution. On a cold /v1/run with a store
-//	             mounted, Run is a cell hit: compile already ran it
+//	             scenario execution
 //	render       response marshaling
 //	store_read   the L2 raw-response probe
-//	store_write  enqueueing the response bytes to the write-behind
+//	store_write  framing a cold /v1/run's outcome with its response
+//	             bytes and enqueueing the frame to the write-behind
 //	             store (the disk write itself is off-path)
 
 // Endpoint indices for the stage grid.

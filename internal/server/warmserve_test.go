@@ -246,18 +246,14 @@ func TestWarmBytesSurviveRestartViaStore(t *testing.T) {
 	}
 	defer st.Close()
 	experiments.ResetCaches()
-	experiments.SetResultStore(st)
-	defer func() {
-		experiments.SetResultStore(nil)
-		experiments.ResetCaches()
-	}()
+	defer experiments.ResetCaches()
 
 	ts1 := newTestServer(t, Config{Store: st})
 	resp, cold := postRunWith(t, ts1.URL, warmRunBody, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold run = %d: %s", resp.StatusCode, cold)
 	}
-	st.Snapshot() // drain the write-behind response bytes
+	st.Snapshot() // drain the write-behind frame
 
 	// "Restart": fresh server (empty L0), memo tiers dropped. Only the
 	// store is warm, so the repeat must come from LoadRaw.
@@ -297,11 +293,7 @@ func TestRunStoreFaultFallsBackToSlowPath(t *testing.T) {
 	}
 	defer st.Close()
 	experiments.ResetCaches()
-	experiments.SetResultStore(st)
-	defer func() {
-		experiments.SetResultStore(nil)
-		experiments.ResetCaches()
-	}()
+	defer experiments.ResetCaches()
 
 	faulted := newTestServer(t, Config{Store: st})
 	for i := 0; i < 3; i++ {

@@ -45,8 +45,7 @@ func TestValidAddr(t *testing.T) {
 func TestReadFrameExportsRawBytes(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), 0)
 	spec := testSpec(12)
-	s.Store("WSE-2", spec.Key(), testStored(12))
-	s.StoreResponse("WSE-2", spec.Key(), []byte(`{"served":"bytes"}`))
+	s.StoreWithResponse("WSE-2", spec.Key(), testStored(12), []byte(`{"served":"bytes"}`))
 	s.Snapshot()
 
 	addr := Address("WSE-2", spec.Key())
@@ -78,8 +77,7 @@ func TestAdoptFrameRoundTrip(t *testing.T) {
 	src := mustOpen(t, t.TempDir(), 0)
 	spec := testSpec(24)
 	want := testStored(24)
-	src.Store("WSE-2", spec.Key(), want)
-	src.StoreResponse("WSE-2", spec.Key(), []byte(`{"r":1}`))
+	src.StoreWithResponse("WSE-2", spec.Key(), want, []byte(`{"r":1}`))
 	src.Snapshot()
 	addr := Address("WSE-2", spec.Key())
 	frame, ok := src.ReadFrame(addr)

@@ -119,18 +119,18 @@ func TestV1BlobUpgrade(t *testing.T) {
 	}
 }
 
-// TestStoreResponseRoundTrip covers the response section end to end:
-// attach bytes, read them back raw across a reopen, and keep them
-// through a payload rewrite (the carry-forward in the writer).
-func TestStoreResponseRoundTrip(t *testing.T) {
+// TestStoreWithResponseRoundTrip covers the response section end to
+// end: persist an outcome with its bytes in one put, read them back raw
+// across a reopen, and keep them through a payload rewrite (the
+// carry-forward in the writer).
+func TestStoreWithResponseRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(12)
 	key := spec.Key()
 	resp := []byte(`{"platform":"wse","spec_key":"` + key + `"}` + "\n")
 
 	s := mustOpen(t, dir, 0)
-	s.Store("WSE-2", key, testStored(12))
-	s.StoreResponse("WSE-2", key, resp)
+	s.StoreWithResponse("WSE-2", key, testStored(12), resp)
 	s.Snapshot()
 
 	got, ok := s.LoadRaw("WSE-2", key)
@@ -138,8 +138,8 @@ func TestStoreResponseRoundTrip(t *testing.T) {
 		t.Fatalf("LoadRaw = %q, %v; want the stored response", got, ok)
 	}
 	st := s.Stats()
-	if st.RawHits != 1 || st.RawMisses != 0 {
-		t.Errorf("raw hits/misses = %d/%d, want 1/0", st.RawHits, st.RawMisses)
+	if st.RawHits != 1 || st.RawMisses != 0 || st.Puts != 1 {
+		t.Errorf("raw hits/misses = %d/%d, puts = %d; want 1/0, 1 put", st.RawHits, st.RawMisses, st.Puts)
 	}
 	s.Close()
 
@@ -168,8 +168,7 @@ func TestCorruptFrameIsAMiss(t *testing.T) {
 	spec := testSpec(12)
 	key := spec.Key()
 	s := mustOpen(t, dir, 0)
-	s.Store("WSE-2", key, testStored(12))
-	s.StoreResponse("WSE-2", key, []byte("resp-bytes"))
+	s.StoreWithResponse("WSE-2", key, testStored(12), []byte("resp-bytes"))
 	s.Snapshot()
 	s.Close()
 

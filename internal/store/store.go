@@ -1,10 +1,12 @@
-// Package store is the persistent, content-addressed result store —
-// the durable L2 tier under the in-memory graph/compile/run memo
-// cells. Every cache tier above it is process RAM: a daemon restart
-// used to recompile the world. The store keeps compile reports and run
-// findings on disk as versioned JSON blobs, so a restarted dabenchd
-// (or a CLI run pointed at the same -data-dir) answers identical specs
-// with zero simulation.
+// Package store is the persistent, content-addressed result store.
+// It keeps compile reports and run findings on disk as versioned JSON
+// blobs. dabenchd persists only its /v1/run outcomes here, one frame
+// each carrying the served response bytes, so a restarted daemon
+// answers a repeat /v1/run without simulating; its sweeps, jobs and
+// scenarios recompute instead, because a blob write costs more than
+// recomputing the point on every platform but the RDU. The CLI's `experiments -data-dir` still
+// mounts the store under the in-memory compile/run memo cells, so a
+// repeat CLI run over the same directory answers from disk.
 //
 // Addressing: a blob's name is the SHA-256 of the pipeline version,
 // the platform name and the spec's canonical TrainSpec.Key — the full
@@ -119,21 +121,19 @@ type indexEntry struct {
 // syscall cost.
 const touchDebounce = time.Minute
 
-// putReq is one write-behind unit. Exactly one of payload, resp,
-// frame or flush is set: a payload write persists a (possibly fresh)
-// JSON blob framed, carrying forward any response bytes already on
-// disk; a resp write merges pre-marshaled response bytes into the
-// existing frame (dropped if the blob is gone — it is recomputable); a
-// frame write persists an already-assembled frame verbatim (a peer-
-// adopted blob); a flush is the Snapshot barrier.
+// putReq is one write-behind unit. Exactly one of payload, frame or
+// flush is set: a payload write persists a (possibly fresh) JSON blob
+// framed, carrying forward any response bytes already on disk; a frame
+// write persists an already-assembled frame verbatim (an outcome with
+// its response bytes, or a peer-adopted blob); a flush is the Snapshot
+// barrier.
 type putReq struct {
 	name    string
 	payload []byte
-	resp    []byte
-	frame   []byte        // pre-built frame adopted whole (AdoptFrame)
+	frame   []byte        // pre-built frame (StoreWithResponse, AdoptFrame)
 	upgrade bool          // payload write triggered by a v1 blob read
 	flush   chan struct{} // non-nil: flush barrier, no write
-	// platformName and specKey ride along on payload writes so the
+	// platformName and specKey ride along on every write so the
 	// OnWrite hook can report the blob's identity without re-decoding
 	// what was just encoded.
 	platformName string
@@ -202,11 +202,10 @@ type Options struct {
 	// Injector is the optional fault-injection hook fired at the store's
 	// read/write/remove syscall sites. Nil injects nothing.
 	Injector *faults.Injector
-	// OnWrite, when set, observes every successful blob payload persist
-	// (fresh puts and v1→v2 upgrades; response-byte merges are excluded
-	// because they do not change the outcome's identity). It runs on the
-	// single writer goroutine, so it must be fast and must never fail
-	// the write — provenance logging is the intended consumer.
+	// OnWrite, when set, observes every successful blob persist (fresh
+	// puts, peer adoptions and v1→v2 upgrades). It runs on the single
+	// writer goroutine, so it must be fast and must never fail the
+	// write — provenance logging is the intended consumer.
 	OnWrite func(WriteEvent)
 }
 
@@ -549,7 +548,7 @@ func (s *Store) Load(platformName, specKey string) (platform.Stored, bool) {
 // blob's payload: directly servable, CRC-verified, and never JSON-
 // decoded. A v1 blob, a frame with no response section, a corrupt
 // frame, or any read failure is a raw miss — the caller falls back to
-// Load and the compute path, so this tier can never surface an error.
+// the compute path, so this tier can never surface an error.
 // Identity needs no payload decode: the address already binds the
 // pipeline version, platform and spec key, and the CRC covers the
 // bytes.
@@ -599,23 +598,6 @@ func (s *Store) LoadRaw(platformName, specKey string) ([]byte, bool) {
 	}
 	s.rawHits.Add(1)
 	return resp, true
-}
-
-// StoreResponse attaches pre-marshaled response bytes to an existing
-// blob, write-behind. The writer merges them into the blob's frame; if
-// the blob is not on disk (evicted, or its payload write failed) the
-// response is silently dropped — like every store write, it is an
-// optimization, recomputable on the next request. Callers typically
-// enqueue the payload (via Store) before the response within one
-// request, and the single writer goroutine preserves that order.
-func (s *Store) StoreResponse(platformName, specKey string, resp []byte) {
-	if len(resp) == 0 {
-		return
-	}
-	select {
-	case s.wq <- putReq{name: address(platformName, specKey), resp: append([]byte(nil), resp...)}:
-	case <-s.done:
-	}
 }
 
 // maybeTouch refreshes a hit blob's file mtime when it has gone stale
@@ -764,6 +746,36 @@ func (s *Store) drop(name string, isCorrupt bool) {
 // store is closed the write is silently dropped (the entry is
 // recomputable by definition).
 func (s *Store) Store(platformName, specKey string, st platform.Stored) {
+	data, ok := s.marshalBlob(platformName, specKey, st)
+	if !ok {
+		return
+	}
+	select {
+	case s.wq <- putReq{name: address(platformName, specKey), payload: data, platformName: platformName, specKey: specKey}:
+	case <-s.done:
+	}
+}
+
+// StoreWithResponse implements platform.RawResponseStore: st and the
+// pre-marshaled response bytes for the same outcome are framed
+// together here and persisted by one write-behind file write, so
+// LoadRaw can serve the bytes after a restart. Like Store it never
+// blocks on disk and drops the write once the store is closed.
+func (s *Store) StoreWithResponse(platformName, specKey string, st platform.Stored, resp []byte) {
+	data, ok := s.marshalBlob(platformName, specKey, st)
+	if !ok {
+		return
+	}
+	select {
+	case s.wq <- putReq{name: address(platformName, specKey), frame: encodeFrame(data, resp), platformName: platformName, specKey: specKey}:
+	case <-s.done:
+	}
+}
+
+// marshalBlob serializes one outcome as its blob payload. An outcome
+// that does not marshal (non-finite floats and the like) is counted as
+// a write error and reported unstorable — never fatal.
+func (s *Store) marshalBlob(platformName, specKey string, st platform.Stored) ([]byte, bool) {
 	b := blob{
 		Version:  PipelineVersion,
 		Platform: platformName,
@@ -781,14 +793,10 @@ func (s *Store) Store(platformName, specKey string, st platform.Stored) {
 	}
 	data, err := json.Marshal(b)
 	if err != nil {
-		// Non-finite floats and the like: unstorable, not fatal.
 		s.wfails.Add(1)
-		return
+		return nil, false
 	}
-	select {
-	case s.wq <- putReq{name: address(platformName, specKey), payload: data, platformName: platformName, specKey: specKey}:
-	case <-s.done:
-	}
+	return data, true
 }
 
 // writer is the single write-behind goroutine: it persists queued
@@ -826,10 +834,7 @@ func (s *Store) write(r putReq) {
 	}
 	data := r.frame
 	if data == nil {
-		var ok bool
-		if data, ok = s.frameForWrite(r); !ok {
-			return
-		}
+		data = s.frameForWrite(r)
 	}
 	var err error
 	for attempt := 0; attempt < s.retryAttempts; attempt++ {
@@ -847,13 +852,12 @@ func (s *Store) write(r putReq) {
 		return
 	}
 	s.writeBr.success()
-	switch {
-	case r.upgrade:
+	if r.upgrade {
 		s.blobUpgrades.Add(1)
-	case r.payload != nil || r.frame != nil:
+	} else {
 		s.puts.Add(1)
 	}
-	if s.onWrite != nil && (r.payload != nil || r.frame != nil) {
+	if s.onWrite != nil {
 		// After the rename: the hook sees only blobs that actually exist.
 		s.onWrite(WriteEvent{Addr: r.name, Platform: r.platformName, SpecKey: r.specKey, Upgrade: r.upgrade})
 	}
@@ -875,42 +879,26 @@ func (s *Store) write(r putReq) {
 	s.remove(victims)
 }
 
-// frameForWrite assembles the v2 frame one putReq persists. All reads
-// here are plain (uninjected, unretried) best-effort probes of the
-// file this single-goroutine writer owns: a payload write carries an
-// existing frame's response section forward so re-storing an outcome
-// never drops its cached response bytes; a response write merges into
-// the existing payload and is dropped whole when no blob is on disk to
-// carry it.
-func (s *Store) frameForWrite(r putReq) ([]byte, bool) {
-	if r.payload != nil {
-		var resp []byte
-		s.mu.Lock()
-		_, exists := s.index[r.name]
-		s.mu.Unlock()
-		if exists {
-			// Only probe the disk when the index says there is something
-			// to salvage — the common case (a fresh blob) skips the read.
-			if cur, err := os.ReadFile(s.path(r.name)); err == nil {
-				if _, curResp, err := decodeFrame(cur); err == nil {
-					resp = curResp
-				}
+// frameForWrite frames a payload write. The read here is a plain
+// (uninjected, unretried) best-effort probe of the file this
+// single-goroutine writer owns: the payload carries an existing
+// frame's response section forward, so re-storing an outcome never
+// drops its cached response bytes.
+func (s *Store) frameForWrite(r putReq) []byte {
+	var resp []byte
+	s.mu.Lock()
+	_, exists := s.index[r.name]
+	s.mu.Unlock()
+	if exists {
+		// Only probe the disk when the index says there is something to
+		// salvage — the common case (a fresh blob) skips the read.
+		if cur, err := os.ReadFile(s.path(r.name)); err == nil {
+			if _, curResp, err := decodeFrame(cur); err == nil {
+				resp = curResp
 			}
 		}
-		return encodeFrame(r.payload, resp), true
 	}
-	cur, err := os.ReadFile(s.path(r.name))
-	if err != nil {
-		return nil, false
-	}
-	payload, _, ferr := decodeFrame(cur)
-	if ferr != nil {
-		if !errors.Is(ferr, errNotFramed) {
-			return nil, false // corrupt: leave it for a read path to drop
-		}
-		payload = cur // v1 blob: merging the response also frames it
-	}
-	return encodeFrame(payload, r.resp), true
+	return encodeFrame(r.payload, resp)
 }
 
 // writeOnce is one atomic persist attempt (temp file + rename), with
