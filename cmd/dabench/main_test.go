@@ -9,6 +9,7 @@ import (
 	dabench "dabench"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -291,7 +292,8 @@ func TestProvenanceVerifyTampered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(b), `"pipeline_version":1`, `"pipeline_version":9`, 1)
+	target := `"pipeline_version":` + strconv.Itoa(store.PipelineVersion)
+	tampered := strings.Replace(string(b), target, `"pipeline_version":9`, 1)
 	if tampered == string(b) {
 		t.Fatal("tamper target not found in chain file")
 	}

@@ -22,10 +22,10 @@ func TestParseSuppression(t *testing.T) {
 	}{
 		{"//dalint:ignore noctxbg -- lifecycle root", []string{"noctxbg"}},
 		{"//dalint:ignore noctxbg, addrgate -- caller validated", []string{"noctxbg", "addrgate"}},
-		{"//dalint:ignore noctxbg", nil},           // no justification
-		{"//dalint:ignore noctxbg --", nil},        // empty justification
-		{"//dalint:ignore noctxbg --   ", nil},     // whitespace justification
-		{"//dalint:ignore -- reason only", nil},    // no analyzer names
+		{"//dalint:ignore noctxbg", nil},            // no justification
+		{"//dalint:ignore noctxbg --", nil},         // empty justification
+		{"//dalint:ignore noctxbg --   ", nil},      // whitespace justification
+		{"//dalint:ignore -- reason only", nil},     // no analyzer names
 		{"// dalint:ignore noctxbg -- reason", nil}, // space breaks the marker
 		{"// plain comment", nil},
 	}

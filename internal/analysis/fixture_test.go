@@ -234,7 +234,7 @@ func runFixture(t *testing.T, a *Analyzer, path string) {
 	}
 }
 
-func TestAddrGateFixture(t *testing.T)   { runFixture(t, AddrGate, "dabench/internal/store") }
+func TestAddrGateFixture(t *testing.T) { runFixture(t, AddrGate, "dabench/internal/store") }
 func TestAddrGateClusterFixture(t *testing.T) {
 	runFixture(t, AddrGate, "dabench/internal/cluster")
 }

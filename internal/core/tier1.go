@@ -98,12 +98,8 @@ func loadImbalance(p platform.Platform, cr *platform.CompileReport) (float64, er
 		if t.Throughput <= 0 {
 			continue
 		}
-		var units float64
-		for _, v := range t.Units {
-			units += v
-		}
 		tasks = append(tasks, metrics.TaskSample{
-			Name: t.Name, Resources: units, Throughput: t.Throughput,
+			Name: t.Name, Resources: t.Units.Sum(), Throughput: t.Throughput,
 		})
 	}
 	if len(tasks) == 0 {

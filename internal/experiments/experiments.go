@@ -311,11 +311,11 @@ func Figure6(ctx context.Context) (*Result, error) {
 			for _, t := range cr.Tasks {
 				switch {
 				case t.Kind == "transmission":
-					r.tx = t.Units[platform.ResPE]
+					r.tx = t.Units.PE
 				case t.Kind == "kernel":
-					r.compute += t.Units[platform.ResPE]
+					r.compute += t.Units.PE
 					if t.Name == "L0/attention" {
-						r.attn = t.Units[platform.ResPE]
+						r.attn = t.Units.PE
 					}
 				}
 			}
@@ -485,10 +485,10 @@ func TableII(ctx context.Context) (*Result, error) {
 				}
 				switch {
 				case hasPrefix(t.Name, "decoder.fwd"):
-					fwdPCU += t.Units[platform.ResPCU]
+					fwdPCU += t.Units.PCU
 					r.nFwd++
 				case hasPrefix(t.Name, "decoder.bwd"):
-					bwdPCU += t.Units[platform.ResPCU]
+					bwdPCU += t.Units.PCU
 					r.nBwd++
 				}
 			}
@@ -526,8 +526,8 @@ func TableII(ctx context.Context) (*Result, error) {
 			for _, t := range cr.Tasks {
 				if t.Kind == "section" && hasPrefix(t.Name, "lm-head.shard") {
 					r.n++
-					r.pcu = t.Units[platform.ResPCU]
-					r.pmu = t.Units[platform.ResPMU]
+					r.pcu = t.Units.PCU
+					r.pmu = t.Units.PMU
 				}
 			}
 			return r, nil

@@ -101,7 +101,7 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 		Spec:     spec,
 		Tasks: []platform.Task{{
 			Name: fmt.Sprintf("T%dP%dD%d", tp, pp, dp), Kind: "decomposition",
-			Units: map[platform.Resource]float64{platform.ResSM: 108 * gpus},
+			Units: platform.Units{SM: 108 * gpus},
 		}},
 		Allocated: map[platform.Resource]float64{platform.ResSM: 108 * gpus},
 		Capacity:  map[platform.Resource]float64{platform.ResSM: 108 * gpus},

@@ -223,7 +223,7 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 	if !single {
 		tasks = append(tasks, platform.Task{
 			Name: "ipu0/embedding", Kind: "stage",
-			Units:      map[platform.Resource]float64{platform.ResTile: tiles * 0.6},
+			Units:      platform.Units{Tile: tiles * 0.6},
 			Runtime:    units.Seconds(stageOverheadSec),
 			Throughput: 1 / stageOverheadSec, Invocations: 1,
 		})
@@ -236,7 +236,7 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 		}
 		tasks = append(tasks, platform.Task{
 			Name: "ipu" + strconv.Itoa(i+1) + "/decoder[" + strconv.Itoa(l) + " layers]", Kind: "stage",
-			Units:       map[platform.Resource]float64{platform.ResTile: tiles * 0.92},
+			Units:       platform.Units{Tile: tiles * 0.92},
 			Runtime:     units.Seconds(rt),
 			Throughput:  1 / rt,
 			Invocations: 1,

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dabench/internal/metrics"
 	"dabench/internal/model"
 	"dabench/internal/precision"
 	"dabench/internal/units"
@@ -131,15 +132,31 @@ func (s TrainSpec) Validate() error {
 // Tokens returns tokens per step.
 func (s TrainSpec) Tokens() float64 { return float64(s.Batch) * float64(s.Seq) }
 
+// Units is a task's allocation per resource class: one field per
+// Resource constant, named after it. It is a value, so a report's task
+// rows carry their allocations inline rather than in a map each. The
+// fields are declared in the sorted order of their names, the order
+// encoding/json writes map keys in, and zero fields are omitted, so a
+// row encodes as a map of its non-zero classes would.
+type Units struct {
+	PCU  float64 `json:",omitempty"`
+	PE   float64 `json:",omitempty"`
+	PMU  float64 `json:",omitempty"`
+	SM   float64 `json:",omitempty"`
+	Tile float64 `json:",omitempty"`
+}
+
+// Sum totals the allocation over all resource classes, in field order.
+func (u Units) Sum() float64 { return u.PCU + u.PE + u.PMU + u.SM + u.Tile }
+
 // Task is one schedulable unit the compiler produced: a kernel on the
 // WSE, a section on the RDU, a pipeline stage on the IPU.
 type Task struct {
 	Name string
-	// Kind labels the task granularity ("kernel", "section", "stage",
-	// "operator").
+	// Kind labels the task granularity ("kernel", "section", "stage").
 	Kind string
 	// Units is the allocation per resource class.
-	Units map[Resource]float64
+	Units Units
 	// Throughput is the task's isolated processing rate in samples/s.
 	Throughput float64
 	// Runtime is the wall time per invocation, the Lᵢ weight of the
@@ -150,9 +167,10 @@ type Task struct {
 	Invocations int
 	FLOPs       units.FLOPs
 	Traffic     units.Bytes
-	// Subtasks optionally carries finer-grain rows (operator-level LI
-	// inside an RDU section).
-	Subtasks []Task
+	// Ops optionally carries the operator rows inside the task, the
+	// Eq. 3 input of the RDU's operator-level LI. Reports may share
+	// one Ops slice between tasks; it is read-only.
+	Ops []metrics.TaskSample
 }
 
 // MemoryUse breaks down on-chip memory at compile time (Figure 9a).

@@ -77,6 +77,36 @@ func TestCompileAllocsIndependentOfDepth(t *testing.T) {
 	}
 }
 
+// TestO3CompileAllocsPerSection bounds what depth costs a cold O3
+// compile. O3 emits one distinct section per decoder slice, so its
+// allocations grow with depth, but report assembly must not: from 4 to
+// 48 layers (15 to 143 sections) each added section may cost at most
+// 2 objects, its name plus strconv.Itoa's string for indices of 100
+// and up.
+func TestO3CompileAllocsPerSection(t *testing.T) {
+	slack := 0.0
+	if raceEnabled {
+		slack = 2
+	}
+	s := New()
+	measure := func(layers int) (allocs float64, sections int) {
+		spec := gptSpec(layers, platform.ModeO3)
+		allocs = testing.AllocsPerRun(20, func() {
+			if _, err := s.Compile(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, len(mustCompile(t, spec).Tasks)
+	}
+	lo, nLo := measure(4)
+	hi, nHi := measure(48)
+	t.Logf("O3 cold compile: %v allocs for %d sections at 4 layers, %v for %d at 48", lo, nLo, hi, nHi)
+	if added := float64(nHi - nLo); hi-lo > 2*added+slack {
+		t.Errorf("O3 cold compile grew by %v allocs over %v added sections (%.2f each), want at most 2 each",
+			hi-lo, added, (hi-lo)/added)
+	}
+}
+
 // TestCompileLeavesCachedGraphUntouched is the consumer-side guard of
 // the graph immutability contract: section building over a shared
 // cached graph must not perturb it, or a later compile of the same

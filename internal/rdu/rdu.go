@@ -3,6 +3,7 @@ package rdu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dabench/internal/metrics"
@@ -120,16 +121,13 @@ func (s *Sim) report(spec platform.TrainSpec, mode platform.CompileMode, tp int,
 		}
 		tasks = append(tasks, platform.Task{
 			Name: sec.name, Kind: "section",
-			Units: map[platform.Resource]float64{
-				platform.ResPCU: pcu,
-				platform.ResPMU: pmu,
-			},
+			Units:       platform.Units{PCU: pcu, PMU: pmu},
 			Throughput:  thr,
 			Runtime:     units.Seconds(t),
 			Invocations: sec.invocations,
 			FLOPs:       units.FLOPs(sec.flops / float64(tp)),
 			Traffic:     units.Bytes(sec.ddrBytes / float64(tp)),
-			Subtasks:    opTasks(sec),
+			Ops:         sec.ops,
 		})
 	}
 
@@ -197,19 +195,6 @@ func sectionTime(sec section, pcus float64, spec platform.TrainSpec, tp int) flo
 	return math.Max(comp, mem) / precFactor(spec.Precision)
 }
 
-// opTasks converts a section's operator rows to platform tasks.
-func opTasks(sec section) []platform.Task {
-	out := make([]platform.Task, 0, len(sec.ops))
-	for _, o := range sec.ops {
-		out = append(out, platform.Task{
-			Name: o.Name, Kind: "operator",
-			Units:      map[platform.Resource]float64{platform.ResPCU: o.Resources},
-			Throughput: o.Throughput,
-		})
-	}
-	return out
-}
-
 // weightedAlloc computes the Eq. 2 time-weighted PCU and PMU
 // allocation ratios over the section schedule. Merged-mode matmul
 // sections overlap across invocations (sub-linear growth), which is
@@ -218,8 +203,8 @@ func weightedAlloc(tasks []platform.Task) (pcu, pmu float64) {
 	var num1, num2, den float64
 	for _, t := range tasks {
 		w := float64(t.Runtime) * effInvocations(t)
-		num1 += w * t.Units[platform.ResPCU] / PCUs
-		num2 += w * t.Units[platform.ResPMU] / PMUs
+		num1 += w * t.Units.PCU / PCUs
+		num2 += w * t.Units.PMU / PMUs
 		den += w
 	}
 	if den == 0 {
@@ -311,39 +296,26 @@ func (s *Sim) LoadImbalance(cr *platform.CompileReport) (float64, error) {
 		// O3: one decoder per section, so cross-section imbalance is
 		// the operator-granularity signal; IO sections are excluded as
 		// in the paper's decoder-focused analysis.
-		var tasks []metrics.TaskSample
+		tasks := make([]metrics.TaskSample, 0, len(cr.Tasks))
 		for _, t := range cr.Tasks {
-			if t.Kind != "section" || len(t.Subtasks) == 0 ||
+			if t.Kind != "section" || len(t.Ops) == 0 ||
 				!strings.HasPrefix(t.Name, "decoder.") {
 				continue
 			}
-			if t.Subtasks[0].Throughput <= 0 {
+			if t.Ops[0].Throughput <= 0 {
 				continue
 			}
 			tasks = append(tasks, metrics.TaskSample{
 				Name:       t.Name,
-				Resources:  t.Units[platform.ResPCU],
-				Throughput: t.Subtasks[0].Throughput,
+				Resources:  t.Units.PCU,
+				Throughput: t.Ops[0].Throughput,
 			})
 		}
 		return metrics.LoadImbalance(tasks)
 	}
 	var rows []metrics.WeightedLI
 	for _, t := range cr.Tasks {
-		if len(t.Subtasks) == 0 {
-			continue
-		}
-		var ops []metrics.TaskSample
-		for _, o := range t.Subtasks {
-			if o.Throughput <= 0 || math.IsInf(o.Throughput, 1) {
-				continue
-			}
-			ops = append(ops, metrics.TaskSample{
-				Name:       o.Name,
-				Resources:  o.Units[platform.ResPCU],
-				Throughput: o.Throughput,
-			})
-		}
+		ops := measurable(t.Ops)
 		if len(ops) == 0 {
 			continue
 		}
@@ -358,6 +330,20 @@ func (s *Sim) LoadImbalance(cr *platform.CompileReport) (float64, error) {
 		})
 	}
 	return metrics.TimeWeightedLI(rows)
+}
+
+// measurable drops the operator rows Eq. 3 cannot weigh: those
+// without a positive, finite throughput. It returns ops itself, not a
+// copy, when every row is measurable.
+func measurable(ops []metrics.TaskSample) []metrics.TaskSample {
+	if !slices.ContainsFunc(ops, unmeasurable) {
+		return ops
+	}
+	return slices.DeleteFunc(slices.Clone(ops), unmeasurable)
+}
+
+func unmeasurable(o metrics.TaskSample) bool {
+	return o.Throughput <= 0 || math.IsInf(o.Throughput, 1)
 }
 
 func countShards(secs []section) int {

@@ -103,7 +103,7 @@ func TestTableIIbSharding(t *testing.T) {
 		for _, task := range cr.Tasks {
 			if task.Kind == "section" && len(task.Name) > 8 && task.Name[:8] == "lm-head." {
 				n++
-				pcu = task.Units[platform.ResPCU]
+				pcu = task.Units.PCU
 			}
 		}
 		return
@@ -361,10 +361,10 @@ func TestSectionInvariants(t *testing.T) {
 			if task.Kind != "section" {
 				continue
 			}
-			if task.Units[platform.ResPCU] <= 0 || task.Units[platform.ResPCU] > PCUs {
+			if task.Units.PCU <= 0 || task.Units.PCU > PCUs {
 				return false
 			}
-			if task.Units[platform.ResPMU] <= 0 || task.Units[platform.ResPMU] > PMUs {
+			if task.Units.PMU <= 0 || task.Units.PMU > PMUs {
 				return false
 			}
 			if task.Runtime <= 0 || task.Invocations < 1 {

@@ -2,7 +2,7 @@ package rdu
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -255,7 +255,7 @@ func rebalanceOps(ops []metrics.TaskSample, sectionPCUs float64, spec platform.T
 	var total float64
 	work := make([]float64, len(ops))
 	for i, o := range ops {
-		if o.Throughput <= 0 || math.IsInf(o.Throughput, 1) {
+		if unmeasurable(o) {
 			continue
 		}
 		// Recover the op's FLOPs from its throughput and allocation.
@@ -368,7 +368,20 @@ func buildO3(spec platform.TrainSpec) ([]section, error) {
 	spread := math.Min(o3SpreadMax, o3SpreadPerLayer*float64(L))*spreadHSRef/(spreadHSRef+float64(h)) +
 		o3HSSpread*math.Max(0, o3HSSpreadRef-float64(h))/o3HSSpreadRef
 
-	secs := make([]section, 0, L*2+3)
+	secs := make([]section, 0, nFwd+nBwd+3)
+	// Each section carries one op row. The rows share one backing
+	// array: opRow fills the row of the section appended next and
+	// returns a slice capped at that row.
+	rows := make([]metrics.TaskSample, cap(secs))
+	opRow := func(name string, pcu, fl float64) []metrics.TaskSample {
+		k := len(secs)
+		rows[k] = metrics.TaskSample{
+			Name:       name,
+			Resources:  pcu,
+			Throughput: pcu * ratePerPCU * sectionEff * precFactor(spec.Precision) / fl,
+		}
+		return rows[k : k+1 : k+1]
+	}
 	mk := func(i, n int, phase string, util, flopsTotal, bytesTotal float64) section {
 		// Deterministic cross-decoder allocation spread (compiler
 		// balances deeper stacks worse).
@@ -382,11 +395,7 @@ func buildO3(spec platform.TrainSpec) ([]section, error) {
 		return section{
 			name: name, kind: "decoder",
 			pcus: pcu, pmus: pmu, flops: fl, ddrBytes: by, invocations: 1,
-			ops: []metrics.TaskSample{{
-				Name:       name,
-				Resources:  pcu,
-				Throughput: pcu * ratePerPCU * sectionEff * precFactor(spec.Precision) / fl,
-			}},
+			ops: opRow(name, pcu, fl),
 		}
 	}
 	for i := 0; i < nFwd; i++ {
@@ -399,19 +408,15 @@ func buildO3(spec platform.TrainSpec) ([]section, error) {
 	// Non-decoder sections: embedding, head, loss, optimizer.
 	shared := 3.0 * 2 * float64(cfg.EmbeddingHeadMatmulParams()) * tokens
 	sharedBytes := weightPasses * 2 * float64(cfg.EmbeddingParams()+cfg.EmbeddingHeadMatmulParams())
-	for i, name := range []string{"embedding", "lm-head", "loss-opt"} {
+	for _, name := range []string{"embedding", "lm-head", "loss-opt"} {
 		pcu := clampF(PCUs*nonDecoderUtilO3, minMatmulPCUs, maxSectionPCUs)
 		fl := shared / 3
 		secs = append(secs, section{
 			name: "shared." + name, kind: "nondecoder",
 			pcus: pcu, pmus: pcu * 1.1, flops: fl, ddrBytes: sharedBytes / 3,
 			invocations: 1,
-			ops: []metrics.TaskSample{{
-				Name: name, Resources: pcu,
-				Throughput: pcu * ratePerPCU * sectionEff * precFactor(spec.Precision) / fl,
-			}},
+			ops:         opRow(name, pcu, fl),
 		})
-		_ = i
 	}
 	return secs, nil
 }
@@ -432,5 +437,5 @@ func decoderFwdFLOPsPerToken(cfg model.Config, seq int) float64 {
 
 // sortSections gives deterministic ordering for reports.
 func sortSections(secs []section) {
-	sort.SliceStable(secs, func(i, j int) bool { return secs[i].name < secs[j].name })
+	slices.SortStableFunc(secs, func(a, b section) int { return strings.Compare(a.name, b.name) })
 }

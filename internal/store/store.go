@@ -57,8 +57,10 @@ import (
 
 // PipelineVersion is the invalidation epoch baked into every blob
 // address and payload. Bump on any change to simulator semantics,
-// report shapes, or TrainSpec.Key composition.
-const PipelineVersion = 1
+// report shapes, or TrainSpec.Key composition. Version 2: a task's
+// Units became a struct and its operator rows moved from Subtasks to
+// Ops, so a version-1 payload would decode with no operator rows.
+const PipelineVersion = 2
 
 // blob is the on-disk wire form of one platform.Stored outcome, framed
 // with enough identity to verify the content address on load.

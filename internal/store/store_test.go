@@ -33,7 +33,7 @@ func testStored(layers int) platform.Stored {
 		Notes:     []string{"note"},
 		Tasks: []platform.Task{{
 			Name: "L0/attention", Kind: "kernel",
-			Units:      map[platform.Resource]float64{platform.ResPE: 17},
+			Units:      platform.Units{PE: 17},
 			Throughput: 3.25, Runtime: units.Seconds(0.125), Invocations: 2,
 			FLOPs: 1e12, Traffic: 1e9,
 		}},

@@ -286,14 +286,14 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 		}
 		tasks = append(tasks, platform.Task{
 			Name: k.name, Kind: "kernel",
-			Units:      map[platform.Resource]float64{platform.ResPE: k.pes},
+			Units:      platform.Units{PE: k.pes},
 			Throughput: thr, Runtime: rt, Invocations: 1,
 			FLOPs: units.FLOPs(flops),
 		})
 	}
 	tasks = append(tasks, platform.Task{
 		Name: "fabric-transmission", Kind: "transmission",
-		Units:       map[platform.Resource]float64{platform.ResPE: txPEs},
+		Units:       platform.Units{PE: txPEs},
 		Invocations: 1,
 	})
 

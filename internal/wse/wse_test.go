@@ -95,7 +95,7 @@ func TestFigure6ElasticAllocation(t *testing.T) {
 	attnPE := func(cr *platform.CompileReport) float64 {
 		for _, task := range cr.Tasks {
 			if task.Name == "L0/attention" {
-				return task.Units[platform.ResPE]
+				return task.Units.PE
 			}
 		}
 		t.Fatal("no attention kernel")
@@ -104,7 +104,7 @@ func TestFigure6ElasticAllocation(t *testing.T) {
 	txPE := func(cr *platform.CompileReport) float64 {
 		for _, task := range cr.Tasks {
 			if task.Kind == "transmission" {
-				return task.Units[platform.ResPE]
+				return task.Units.PE
 			}
 		}
 		t.Fatal("no transmission task")
@@ -139,7 +139,7 @@ func TestFigure8KernelLI(t *testing.T) {
 			if task.Kind == "kernel" && strings.HasPrefix(task.Name, "L") {
 				tasks = append(tasks, metrics.TaskSample{
 					Name:       task.Name,
-					Resources:  task.Units[platform.ResPE],
+					Resources:  task.Units.PE,
 					Throughput: task.Throughput,
 				})
 			}
