@@ -18,14 +18,14 @@
 //
 // Clustering: -peers (with -node-id and -data-dir) joins the daemon to
 // a static fleet. Nodes poll each other's /v1/gossip for health, store
-// gauges and provenance chain tips; a /v1/run that misses the local
-// store consults a consistent-hash ring and fetches the framed blob
-// from a peer (GET /v1/blobs/{addr}) before falling back to
-// simulation, adopting what it fetched; async job chunks shard across
+// gauges and provenance chain tips, and async job chunks shard across
 // live peers (POST /v1/chunks) with local reassignment when an owner
-// fails. Every peer interaction is breaker-guarded and timeout-bounded
-// — a dead peer degrades the fleet to single-node behavior, never
-// breaks it. See DESIGN.md "Cluster fabric".
+// fails. /v1/run never asks a peer: a local store miss recomputes,
+// because a compile plus run costs less than a peer round trip on
+// every platform. Every peer call is breaker-guarded and bounded by
+// -peer-timeout (gossip) or the chunk timeout — a dead peer degrades
+// the fleet to single-node behavior, never breaks it. See DESIGN.md
+// "Cluster fabric".
 //
 // Observability: GET /metrics renders every internal counter plus
 // per-request stage and per-platform pipeline latency histograms in
@@ -132,7 +132,7 @@ func run(args []string) error {
 	peers := fs.String("peers", "", "static cluster peers as id=url,id=url (requires -node-id and -data-dir)")
 	advertise := fs.String("advertise", "", "base URL peers reach this node at (advertised in gossip)")
 	gossipInterval := fs.Duration("gossip-interval", time.Second, "peer health-poll period")
-	peerTimeout := fs.Duration("peer-timeout", 500*time.Millisecond, "per-peer gossip/blob-fetch deadline")
+	peerTimeout := fs.Duration("peer-timeout", 500*time.Millisecond, "per-peer gossip probe deadline")
 	showVersion := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -195,7 +195,7 @@ func run(args []string) error {
 			return errors.New("-peers requires -node-id (every fleet member needs a unique ring name)")
 		}
 		if *dataDir == "" {
-			return errors.New("-peers requires -data-dir (peer-fetched blobs adopt into the durable store)")
+			return errors.New("-peers requires -data-dir (gossip reports the store's gauges and the provenance chain tip)")
 		}
 		pcs, err := cluster.ParsePeers(*peers)
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 // a variable or struct field through a sync/atomic pointer-style
 // operation (atomic.LoadInt64(&x.f), atomic.StorePointer(&p, ...)),
 // every other access must go through sync/atomic too. A direct read
-// "just for a test assertion" is exactly how the server's
-// fabric/fabricRaw seam would have regressed: the race detector only
+// "just for a test assertion" is exactly how the server's late-
+// attached fabric seam would have regressed: the race detector only
 // catches the schedules it sees, while this rule catches the
 // mixed-access pattern itself.
 //

@@ -1,11 +1,11 @@
-// Package cluster is the multi-node result fabric: static peer
-// membership, a pull-based gossip heartbeat, and a consistent-hash ring
-// that turns the store's content addresses into a cluster-wide
-// namespace. A /v1/run outcome computed on any node is warm
-// everywhere — a /v1/run that misses the local store consults the ring
-// and fetches the framed blob from a peer (GET /v1/blobs/{addr})
-// before falling back to simulation, and the fetched frame is adopted
-// into the local store so heat spreads.
+// Package cluster is the multi-node fabric: static peer membership, a
+// pull-based gossip heartbeat, and a consistent-hash ring that places
+// async job chunks across the fleet. A /v1/run never consults a peer:
+// a local store miss recomputes, because on every platform a compile
+// plus run costs less than one peer round trip (DESIGN.md has the
+// numbers). FetchFrame, a client for a peer's GET /v1/blobs/{addr},
+// stays for the benchmark, which times that export; the daemon itself
+// never calls it.
 //
 // Membership is static on purpose: the fabric targets small fleets
 // declared in a compose file or a unit file (-peers id=url,...), where
@@ -16,7 +16,7 @@
 // anchor `dabench provenance verify -peer` checks).
 //
 // Failure posture mirrors the store's: every peer interaction is an
-// optimization with a local fallback (recompute, run the chunk here),
+// optimization with a local fallback (run the chunk here),
 // so peer calls are bounded by a short timeout and a per-peer circuit
 // breaker — a dead node costs a few connection errors, then one state
 // check per request until its breaker's cooldown probes it again.
@@ -131,9 +131,8 @@ type Config struct {
 	Peers []PeerConfig
 	// GossipInterval is the peer-poll period (default 1s; Start only).
 	GossipInterval time.Duration
-	// FetchTimeout bounds one peer HTTP call — gossip probe or blob
-	// fetch (default 500ms). Peer fetches race a local recompute that
-	// costs milliseconds, so the budget must stay cheap.
+	// FetchTimeout bounds one peer HTTP call — a gossip probe or a
+	// FetchFrame request (default 500ms).
 	FetchTimeout time.Duration
 	// ChunkTimeout bounds one remote chunk execution (default 30s —
 	// a chunk is real simulation work, not a byte copy).
@@ -177,16 +176,13 @@ type Fabric struct {
 	chunkTimeout   time.Duration
 	deadThreshold  int
 
-	// baseCtx is the fabric's lifecycle root: every peer call made on
-	// the fabric's own behalf (gossip probes, the store-seam blob
-	// fetches that have no request context to thread) derives from it,
-	// and Close cancels it — shutdown kills in-flight peer I/O instead
-	// of waiting out timeouts.
+	// baseCtx is the fabric's lifecycle root: the gossip probes made on
+	// the fabric's own behalf derive from it, and Close cancels it —
+	// shutdown kills in-flight peer I/O instead of waiting out timeouts.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
 	fetchHits, fetchMisses, fetchErrors atomic.Int64
-	adoptions                           atomic.Int64
 	remoteChunks, reassignedChunks      atomic.Int64
 	gossipRounds, gossipErrors          atomic.Int64
 
@@ -432,8 +428,9 @@ func (f *Fabric) PeerTip(peerID string) (tip string, records int64, ok bool) {
 // skipped), each behind its breaker, each bounded by FetchTimeout. The
 // ring's owner is only the *likeliest* holder — any node that computed
 // the spec has the blob — so a miss at the owner falls through to the
-// remaining peers rather than straight to simulation. Returns the raw
-// frame bytes and the answering peer's ID.
+// remaining peers. Returns the raw frame bytes and the answering peer's
+// ID. Nothing in the daemon calls it; perfbench times the blob export
+// through it.
 func (f *Fabric) FetchFrame(ctx context.Context, addr string) ([]byte, string, bool) {
 	if f == nil {
 		return nil, "", false
@@ -527,8 +524,8 @@ func (f *Fabric) ChunkNodes(jobKey string, chunk int) []string {
 
 // ChunkEligible reports whether a remote peer should be offered a
 // chunk: its breaker must admit traffic and gossip must not have
-// declared it dead. (Blob fetches only consult the breaker — they cost
-// a connection attempt; a chunk dispatch wastes a whole timeout.)
+// declared it dead. (FetchFrame only consults the breaker — a fetch
+// costs a connection attempt; a chunk dispatch wastes a whole timeout.)
 func (f *Fabric) ChunkEligible(peerID string) bool {
 	if f == nil {
 		return false
@@ -605,14 +602,6 @@ func (f *Fabric) NoteReassigned() {
 	}
 }
 
-// noteAdoption counts one peer-fetched blob adopted into the local
-// store (fed by FabricStore).
-func (f *Fabric) noteAdoption() {
-	if f != nil {
-		f.adoptions.Add(1)
-	}
-}
-
 // Stats is the fabric's /v1/stats wire form. The counter names mirror
 // the /metrics families one to one.
 type Stats struct {
@@ -621,13 +610,12 @@ type Stats struct {
 	RingNodes  int    `json:"ring_nodes"`
 	PeersAlive int    `json:"peers_alive"`
 	PeersDead  int    `json:"peers_dead"`
-	// Peer-fetch counters: hits answered a local store miss from a peer,
-	// misses found the blob on no reachable peer, errors are transport
-	// failures, adoptions are fetched frames persisted locally.
+	// FetchFrame counters: hits found the blob on a peer, misses found
+	// it on no reachable peer, errors are transport failures. The daemon
+	// never calls FetchFrame, so on a serving node all three stay 0.
 	PeerFetchHits   int64 `json:"peer_fetch_hits"`
 	PeerFetchMisses int64 `json:"peer_fetch_misses"`
 	PeerFetchErrors int64 `json:"peer_fetch_errors"`
-	PeerAdoptions   int64 `json:"peer_adoptions"`
 	// Job sharding counters.
 	RemoteChunks     int64 `json:"remote_chunks"`
 	ReassignedChunks int64 `json:"reassigned_chunks"`
@@ -651,7 +639,6 @@ func (f *Fabric) Stats() *Stats {
 		PeerFetchHits:    f.fetchHits.Load(),
 		PeerFetchMisses:  f.fetchMisses.Load(),
 		PeerFetchErrors:  f.fetchErrors.Load(),
-		PeerAdoptions:    f.adoptions.Load(),
 		RemoteChunks:     f.remoteChunks.Load(),
 		ReassignedChunks: f.reassignedChunks.Load(),
 		GossipRounds:     f.gossipRounds.Load(),

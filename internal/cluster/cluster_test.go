@@ -265,7 +265,6 @@ func TestNilFabricIsSingleNode(t *testing.T) {
 	f.Close()
 	f.GossipOnce(context.Background())
 	f.NoteReassigned()
-	f.noteAdoption()
 	if f.Stats() != nil || f.Peers() != nil || f.NodeID() != "" || f.SelfURL() != "" {
 		t.Error("nil fabric leaked state")
 	}
@@ -277,9 +276,5 @@ func TestNilFabricIsSingleNode(t *testing.T) {
 	}
 	if _, _, ok := f.PeerTip("b"); ok {
 		t.Error("nil fabric had a peer tip")
-	}
-	fs := f.WrapStore(nil)
-	if _, ok := fs.fetchAdopt("wse", "k"); ok {
-		t.Error("nil-fabric wrapper adopted")
 	}
 }

@@ -208,6 +208,24 @@ func TestAssignmentValidation(t *testing.T) {
 	}
 }
 
+// TestPipelineAtTheParallelismBound: the largest pipeline
+// TrainSpec.Validate accepts (one embedding IPU plus MaxParallelism-1
+// decoder IPUs, most of them holding no layer) and the longest accepted
+// explicit assignment still compile and run.
+func TestPipelineAtTheParallelismBound(t *testing.T) {
+	s := spec(4)
+	s.Par.PipelineParallel = platform.MaxParallelism
+	rr := mustRun(t, s)
+	if n := len(rr.Compile.Tasks); n != platform.MaxParallelism {
+		t.Errorf("stage tasks = %d, want %d", n, platform.MaxParallelism)
+	}
+
+	s = spec(4)
+	s.Par.LayerAssignment = make([]int, platform.MaxParallelism)
+	s.Par.LayerAssignment[0] = 4
+	mustRun(t, s)
+}
+
 func TestRejectsUnsupportedParallelism(t *testing.T) {
 	s := spec(4)
 	s.Par.TensorParallel = 2

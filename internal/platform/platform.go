@@ -98,6 +98,13 @@ type Parallelism struct {
 	Mode CompileMode
 }
 
+// MaxParallelism bounds each parallelism degree and the length of a
+// layer assignment. The paper never exceeds 64 devices per degree, and
+// 1024 matches model.MaxLayers. The IPU simulator allocates one stage
+// per pipeline device, so without a bound one request could make it
+// allocate an arbitrary amount of memory.
+const MaxParallelism = 1024
+
 // TrainSpec is one training workload: the framework's "training
 // configuration" input category.
 type TrainSpec struct {
@@ -125,6 +132,13 @@ func (s TrainSpec) Validate() error {
 	p := s.Par
 	if p.DataParallel < 0 || p.TensorParallel < 0 || p.PipelineParallel < 0 {
 		return fmt.Errorf("platform: negative parallelism degree")
+	}
+	if p.DataParallel > MaxParallelism || p.TensorParallel > MaxParallelism || p.PipelineParallel > MaxParallelism {
+		return fmt.Errorf("platform: parallelism degrees (data %d, tensor %d, pipeline %d) exceed the maximum of %d",
+			p.DataParallel, p.TensorParallel, p.PipelineParallel, MaxParallelism)
+	}
+	if n := len(p.LayerAssignment); n > MaxParallelism {
+		return fmt.Errorf("platform: layer assignment of %d entries exceeds the maximum of %d", n, MaxParallelism)
 	}
 	return nil
 }

@@ -17,11 +17,22 @@ func TestTrainSpecValidate(t *testing.T) {
 		{Model: model.GPT2Small(), Batch: 1, Seq: 0},
 		{Model: model.GPT2Small(), Batch: 1, Seq: 4096}, // beyond GPT-2 max
 		{Model: model.GPT2Small(), Batch: 1, Seq: 1, Par: Parallelism{DataParallel: -1}},
+		{Model: model.GPT2Small(), Batch: 1, Seq: 1, Par: Parallelism{DataParallel: MaxParallelism + 1}},
+		{Model: model.GPT2Small(), Batch: 1, Seq: 1, Par: Parallelism{TensorParallel: MaxParallelism + 1}},
+		{Model: model.GPT2Small(), Batch: 1, Seq: 1, Par: Parallelism{PipelineParallel: MaxParallelism + 1}},
+		{Model: model.GPT2Small(), Batch: 1, Seq: 1, Par: Parallelism{PipelineParallel: 1 << 62}},
+		{Model: model.GPT2Small(), Batch: 1, Seq: 1, Par: Parallelism{LayerAssignment: make([]int, MaxParallelism+1)}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
+	}
+	atBound := good
+	atBound.Par = Parallelism{DataParallel: MaxParallelism, TensorParallel: MaxParallelism,
+		PipelineParallel: MaxParallelism, LayerAssignment: make([]int, MaxParallelism)}
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("spec at the parallelism bound rejected: %v", err)
 	}
 	if got := good.Tokens(); got != 4096 {
 		t.Errorf("Tokens = %v", got)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dabench/internal/cluster"
-	"dabench/internal/platform"
 	"dabench/internal/store"
 )
 
@@ -18,37 +17,23 @@ import (
 // fabric (SetCluster) after the listener is up.
 //
 //	GET  /v1/gossip        this node's state + its view of every peer
-//	GET  /v1/blobs/{addr}  raw framed store blob export (peer fetch)
+//	GET  /v1/blobs/{addr}  raw framed store blob export
 //	POST /v1/chunks        execute one job chunk remotely (job sharding)
 
 // SetCluster attaches a fabric to a running server: the gossip payload
 // gains the node identity, /v1/stats and /metrics gain the cluster
-// families, and — when a store is mounted — the raw serve lane is
-// re-pointed through the fabric's peer-fetch wrapper. Call before
-// serving traffic (the daemon wires it at boot; tests between
-// constructing httptest servers and issuing requests).
+// families, /healthz gains the cluster component, and async jobs shard
+// their chunks across the fleet. /v1/run is untouched: it reads only
+// the local store and recomputes on a miss. Call before serving
+// traffic (the daemon wires it at boot; tests between constructing
+// httptest servers and issuing requests).
 func (s *Server) SetCluster(f *cluster.Fabric) {
 	s.fabric.Store(f)
-	if f != nil && s.cfg.Store != nil {
-		s.fabricRaw.Store(f.WrapStore(s.cfg.Store))
-	}
 }
 
 // cluster returns the attached fabric (nil on a single node).
 func (s *Server) cluster() *cluster.Fabric {
 	return s.fabric.Load()
-}
-
-// rawStore resolves the byte-level serve tier: the fabric's peer-fetch
-// wrapper when a cluster is attached, else the bare store, else nil.
-func (s *Server) rawStore() platform.RawResponseStore {
-	if fr := s.fabricRaw.Load(); fr != nil {
-		return fr
-	}
-	if s.raw != nil {
-		return s.raw
-	}
-	return nil
 }
 
 // nodeState assembles this node's gossip self-report from the same
@@ -80,11 +65,13 @@ func (s *Server) handleGossip(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleBlob exports one store blob's raw on-disk bytes — frame and
-// all — for a peer to adopt. The address is validated as strict
-// hex-sha256 before any path handling: it is about to become a file
-// name on this node's disk, and the shape check is the only thing
-// between a crafted request and the filesystem.
+// handleBlob exports one store blob's raw on-disk bytes, frame and
+// all. No daemon path fetches it; FetchFrame's callers do, and because
+// its 404 runs the store's flush first, a client can use a GET for an
+// absent address as a write-behind barrier. The address is validated
+// as strict hex-sha256 before any path handling: it is about to become
+// a file name on this node's disk, and the shape check is the only
+// thing between a crafted request and the filesystem.
 func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("addr")
 	if !store.ValidAddr(addr) {
@@ -101,8 +88,8 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// The store is write-behind: a blob computed moments ago may
 		// still be in the queue. One flush barrier before declaring the
-		// miss keeps the freshly-computed case — the whole point of peer
-		// fetch — from racing the writer goroutine.
+		// miss keeps a freshly-computed blob from racing the writer
+		// goroutine, and makes every 404 a barrier for the caller.
 		s.cfg.Store.Snapshot()
 		data, ok = s.cfg.Store.ReadFrame(addr)
 	}

@@ -78,10 +78,12 @@ func newFleet(t *testing.T, n int, inj *faults.Injector) []*fleetNode {
 	return nodes
 }
 
-// TestClusterWarmServeFromPeer pins the tentpole's acceptance
-// criterion: a spec computed on node A serves warm from node B via peer
-// fetch — zero compile misses on B, response bytes identical to A's,
-// and peer_fetch_hits visible on both /v1/stats and /metrics.
+// TestClusterWarmServeFromPeer pins what a fleet node does with a spec
+// only a peer has served: it recomputes. Node B, with an empty store,
+// answers node A's spec with node A's exact bytes after exactly one
+// compile miss and zero peer fetches, and the frame it then holds is
+// one it wrote itself. A peer round trip costs more than any
+// platform's compile plus run, so /v1/run never makes one.
 func TestClusterWarmServeFromPeer(t *testing.T) {
 	nodes := newFleet(t, 3, nil)
 	a, b := nodes[0], nodes[1]
@@ -93,11 +95,11 @@ func TestClusterWarmServeFromPeer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("node A run = %d: %s", resp.StatusCode, bodyA)
 	}
-	a.st.Snapshot() // drain the write-behind frame before B comes asking
+	a.st.Snapshot() // A's frame is on disk: a peer fetch would find it
 
 	// Phase B: memo tiers dropped, node B's store empty. The only warm
-	// copy of the spec in the world is node A's store — B must serve
-	// through the peer-fetch tier, not recompute.
+	// copy of the spec in the world is node A's store, and B must not
+	// go looking for it.
 	experiments.ResetCaches()
 	missesBefore := experiments.CacheStats().Misses
 	resp, bodyB := postRunWith(t, b.ts.URL, warmRunBody, "")
@@ -105,10 +107,10 @@ func TestClusterWarmServeFromPeer(t *testing.T) {
 		t.Fatalf("node B run = %d: %s", resp.StatusCode, bodyB)
 	}
 	if !bytes.Equal(bodyA, bodyB) {
-		t.Errorf("node B's peer-served bytes diverged from node A's:\nA: %s\nB: %s", bodyA, bodyB)
+		t.Errorf("node B's recomputed bytes diverged from node A's:\nA: %s\nB: %s", bodyA, bodyB)
 	}
-	if d := experiments.CacheStats().Misses - missesBefore; d != 0 {
-		t.Errorf("node B paid %d compile misses, want 0 (peer fetch must pre-empt simulation)", d)
+	if d := experiments.CacheStats().Misses - missesBefore; d != 1 {
+		t.Errorf("node B paid %d compile misses, want exactly 1 (a local store miss recomputes)", d)
 	}
 
 	var st Stats
@@ -119,23 +121,25 @@ func TestClusterWarmServeFromPeer(t *testing.T) {
 	if st.Cluster.NodeID != "node-b" || st.Cluster.RingNodes != 3 {
 		t.Errorf("cluster identity = %s over %d ring nodes", st.Cluster.NodeID, st.Cluster.RingNodes)
 	}
-	if st.Cluster.PeerFetchHits < 1 || st.Cluster.PeerAdoptions < 1 {
-		t.Errorf("peer fetch hits=%d adoptions=%d, want >= 1 each",
-			st.Cluster.PeerFetchHits, st.Cluster.PeerAdoptions)
+	if n := st.Cluster.PeerFetchHits + st.Cluster.PeerFetchMisses + st.Cluster.PeerFetchErrors; n != 0 {
+		t.Errorf("node B made %d peer fetches (hits %d, misses %d, errors %d), want 0",
+			n, st.Cluster.PeerFetchHits, st.Cluster.PeerFetchMisses, st.Cluster.PeerFetchErrors)
 	}
 	expo := scrapeMetrics(t, b.ts)
-	if v := metricValue(t, expo, "dabench_peer_fetch_hits_total"); v < 1 {
-		t.Errorf("dabench_peer_fetch_hits_total = %v, want >= 1", v)
-	}
-	if v := metricValue(t, expo, "dabench_peer_adoptions_total"); v < 1 {
-		t.Errorf("dabench_peer_adoptions_total = %v, want >= 1", v)
+	for _, series := range []string{"dabench_peer_fetch_hits_total", "dabench_peer_fetch_misses_total", "dabench_peer_fetch_errors_total"} {
+		if v := metricValue(t, expo, series); v != 0 {
+			t.Errorf("%s = %v, want 0", series, v)
+		}
 	}
 
-	// The adopted blob is durable on B: a direct local read now hits.
+	// The frame on B is B's own write: one put, serving B's bytes.
 	b.st.Snapshot()
+	if puts := b.st.Stats().Puts; puts != 1 {
+		t.Errorf("node B store puts = %d, want 1 (its own cold outcome)", puts)
+	}
 	plat, key := bodyIdentity(t, bodyB)
-	if _, ok := b.st.LoadRaw(plat, key); !ok {
-		t.Error("adopted blob not readable from node B's own store")
+	if raw, ok := b.st.LoadRaw(plat, key); !ok || !bytes.Equal(raw, bodyB) {
+		t.Errorf("node B's store does not serve its own bytes back (ok=%v)", ok)
 	}
 
 	// healthz on a fleet node reports the cluster component.
@@ -220,11 +224,12 @@ func TestClusterBlobEndpointRejectsMalformedAddrs(t *testing.T) {
 }
 
 // TestClusterDegradedFabricFallsBack pins the failure posture: with
-// every peer call failing under the injector, the breaker opens after
-// its threshold and requests fall back to simulation — never an error,
-// and byte-identical to a single-node serve. A cold /v1/run probes its
-// peers once, so the threshold-2 breaker opens on the second distinct
-// cold spec, not the first.
+// every peer call failing under the injector, /v1/run still answers
+// 200 with the bytes a single node serves. It never touches the
+// fabric, so no fetch error is counted and the breaker stays closed
+// after each cold spec. Breaker trips are covered where peer calls
+// remain: TestBreakerTripProbeRecover (internal/cluster) and
+// TestJobReassignsChunksFromDeadPeer.
 func TestClusterDegradedFabricFallsBack(t *testing.T) {
 	bodies := []string{warmRunBody, `{"platform":"wse","model":"gpt2-small","batch":128,"seq":1024}`}
 	experiments.ResetCaches()
@@ -257,15 +262,11 @@ func TestClusterDegradedFabricFallsBack(t *testing.T) {
 			}
 		}
 		st := a.fab.Stats()
-		if st.PeerFetchErrors != int64(i+1) {
-			t.Errorf("after %d cold spec(s): peer fetch errors = %d, want %d (one probe per cold /v1/run)", i+1, st.PeerFetchErrors, i+1)
+		if st.PeerFetchErrors != 0 {
+			t.Errorf("after %d cold spec(s): peer fetch errors = %d, want 0 (/v1/run makes no peer call)", i+1, st.PeerFetchErrors)
 		}
-		wantBreaker := "closed"
-		if i == 1 {
-			wantBreaker = "open"
-		}
-		if st.Peers[0].Breaker != wantBreaker {
-			t.Errorf("after %d cold spec(s): peer breaker = %s, want %s", i+1, st.Peers[0].Breaker, wantBreaker)
+		if st.Peers[0].Breaker != "closed" {
+			t.Errorf("after %d cold spec(s): peer breaker = %s, want closed", i+1, st.Peers[0].Breaker)
 		}
 	}
 }

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -365,5 +368,34 @@ func TestColdOutcomesWriteOnce(t *testing.T) {
 	plat, key := bodyIdentity(t, b)
 	if raw, ok := st.LoadRaw(plat, key); !ok || !bytes.Equal(raw, b) {
 		t.Errorf("LoadRaw after the cold run: ok=%v, bytes equal=%v; want the served body", ok, bytes.Equal(raw, b))
+	}
+}
+
+// TestJournaledOverParallelJobSettlesFailed: a journal written before
+// the parallelism bound may hold a job that crashed the daemon on
+// every replay. Such a jobs dir must now open and settle the job
+// failed, since runJob re-validates the journaled body.
+func TestJournaledOverParallelJobSettlesFailed(t *testing.T) {
+	dir := t.TempDir()
+	var journal []byte
+	for i, body := range overParallelBodies() {
+		rec, err := json.Marshal(map[string]any{
+			"job": fmt.Sprintf("job-%06d", i+1), "event": "submitted",
+			"time": time.Now().UTC(), "points": 2, "request": json.RawMessage(body),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(append(journal, rec...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{JobsDir: dir})
+	for i := range overParallelBodies() {
+		v := waitJobState(t, ts, fmt.Sprintf("job-%06d", i+1), jobs.StateFailed)
+		if !strings.Contains(v.Error, "1024") {
+			t.Errorf("job %d error = %q, want it to name the 1024 bound", i+1, v.Error)
+		}
 	}
 }

@@ -107,10 +107,10 @@ type Config struct {
 	// no data dir — disables the endpoint.
 	Provenance *provenance.Log
 
-	// Cluster is the multi-node result fabric (nil = single node). With
-	// a Store mounted, the raw serve lane is routed through the fabric's
-	// peer-fetch wrapper so local store misses consult the ring before
-	// simulating.
+	// Cluster is the multi-node fabric (nil = single node): gossip, the
+	// cluster sections of /v1/stats, /metrics and /healthz, and job
+	// chunk sharding. It never reaches /v1/run, which reads only Store
+	// and recomputes on a miss.
 	Cluster *cluster.Fabric
 	// StageLogPath, when set, appends one CSV row of per-stage timings
 	// for every served request (the flight-recorder complement to the
@@ -173,7 +173,8 @@ type Stats struct {
 	ChunksQuarantined int64         `json:"chunks_quarantined,omitempty"`
 	Faults            *faults.Stats `json:"faults,omitempty"`
 	// Cluster is the fabric's snapshot (absent on a single node):
-	// peer liveness views, peer-fetch counters, chunk sharding counters.
+	// peer liveness views, FetchFrame counters (0 on a serving daemon),
+	// chunk sharding counters.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
 
@@ -188,11 +189,9 @@ type Server struct {
 	// once at construction (the library is immutable).
 	scenarios []scenarioInfo
 
-	// resp is the L0 response-byte cache (nil when disabled); raw the
-	// store's byte-level read path (nil without a store). unhookReset
-	// detaches resp from experiments.ResetCaches on Close.
+	// resp is the L0 response-byte cache (nil when disabled).
+	// unhookReset detaches resp from experiments.ResetCaches on Close.
 	resp        *memo.ByteLRU[string, *respEntry]
-	raw         platform.RawResponseStore
 	unhookReset func()
 
 	// reg is the /metrics registry; stageHist the pre-resolved
@@ -208,10 +207,7 @@ type Server struct {
 	// fabric is the attached cluster fabric (nil single-node); an
 	// atomic pointer so tests can attach one after their httptest
 	// servers exist (peer URLs are unknowable before Listen).
-	// fabricRaw is the fabric's peer-fetch wrapper over the store,
-	// shadowing raw when set — atomic for the same late-attach reason.
-	fabric    atomic.Pointer[cluster.Fabric]
-	fabricRaw atomic.Pointer[cluster.FabricStore]
+	fabric atomic.Pointer[cluster.Fabric]
 
 	inFlight          atomic.Int64
 	served            atomic.Int64
@@ -238,9 +234,6 @@ func New(cfg Config) (*Server, error) {
 		// L0 holds marshaled copies of what the tiers below compute;
 		// it must drop in lockstep when those tiers are reset.
 		s.unhookReset = experiments.OnReset(s.resp.Purge)
-	}
-	if cfg.Store != nil {
-		s.raw = cfg.Store
 	}
 	if cfg.Cluster != nil {
 		s.SetCluster(cfg.Cluster)
@@ -439,14 +432,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 	// The cluster component only exists with a fabric attached; a
 	// single-node /healthz body is unchanged. Dead peers degrade this
-	// node's health honestly — it still serves everything, just without
-	// the fabric's warm-anywhere guarantee.
+	// node's health honestly — it still serves everything, and runs the
+	// job chunks they would have taken itself.
 	if cs := s.cluster().Stats(); cs != nil {
 		clusterHealth := componentHealth{Status: "ok",
 			Detail: strconv.Itoa(cs.PeersAlive) + "/" + strconv.Itoa(cs.RingNodes-1) + " peers alive"}
 		if cs.PeersDead > 0 {
 			clusterHealth.Status = "degraded"
-			clusterHealth.Detail = strconv.Itoa(cs.PeersDead) + " peer(s) unreachable; their blobs fall back to simulation"
+			clusterHealth.Detail = strconv.Itoa(cs.PeersDead) + " peer(s) unreachable; their job chunks run locally"
 		}
 		resp.Components["cluster"] = clusterHealth
 	}
@@ -586,13 +579,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// L2 raw: the framed blob's pre-marshaled response section —
+	// L2 raw: the local store's pre-marshaled response section —
 	// servable bytes with zero JSON work, refilling L0 on the way out.
-	// With a fabric attached this tier reaches through peer fetch, so a
-	// spec any fleet member served through /v1/run serves warm here.
-	if rs := s.rawStore(); rs != nil {
+	// A miss goes straight to compute, fleet or not: no peer round trip
+	// is cheaper than recomputing.
+	if s.cfg.Store != nil {
 		t := time.Now()
-		raw, ok := rs.LoadRaw(p.Name(), key)
+		raw, ok := s.cfg.Store.LoadRaw(p.Name(), key)
 		st.observe(stgStoreRead, time.Since(t))
 		if ok {
 			st.observe(stgAdmission, 0)
@@ -674,12 +667,12 @@ func (s *Server) finishRun(w http.ResponseWriter, platformName, etag string, res
 	body := append([]byte(nil), buf.Bytes()...)
 	putBuf(buf)
 	st.observe(stgRender, time.Since(t))
-	if rs := s.rawStore(); rs != nil {
+	if s.cfg.Store != nil {
 		// The framing and enqueue, not the disk write — the store is
 		// write-behind, so this is the full store cost the request path
 		// pays.
 		t = time.Now()
-		rs.StoreWithResponse(platformName, res.SpecKey, out, body)
+		s.cfg.Store.StoreWithResponse(platformName, res.SpecKey, out, body)
 		st.observe(stgStoreWrite, time.Since(t))
 	}
 	s.finishStages(w, st)

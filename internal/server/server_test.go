@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dabench/internal/experiments"
+	"dabench/internal/platform"
 	"dabench/internal/trace"
 )
 
@@ -394,6 +395,43 @@ func TestOverDeepLayerCountsRejected(t *testing.T) {
 		var env errorEnvelope
 		if err := json.Unmarshal(b, &env); err != nil || !strings.Contains(env.Error.Message, "1024") {
 			t.Errorf("%s rejection = %s, want it to name the 1024-layer bound", path, b)
+		}
+	}
+}
+
+// overParallelBodies are request bodies past platform.MaxParallelism:
+// one degree over, a degree that made the IPU simulator allocate
+// 2^62-1 stages (a makeslice panic that killed the daemon), and an
+// explicit layer assignment one entry too long.
+func overParallelBodies() []string {
+	long := strings.Repeat("0,", platform.MaxParallelism) + "12"
+	return []string{
+		`{"platform":"ipu","model":"gpt2-small","pipeline_parallel":1025,"batches":[1,2]}`,
+		`{"platform":"ipu","model":"gpt2-small","pipeline_parallel":4611686018427387904,"batches":[1,2]}`,
+		`{"platform":"ipu","model":"gpt2-small","layer_assignment":[` + long + `],"batches":[1,2]}`,
+	}
+}
+
+// TestOverParallelSpecsRejected: every request surface answers 400 for
+// a parallelism degree or layer assignment past the bound, before any
+// simulation.
+func TestOverParallelSpecsRejected(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for i, body := range overParallelBodies() {
+		// /v1/run has no batches axis; the rest of the body is the same.
+		runBody := strings.Replace(body, `,"batches":[1,2]`, "", 1)
+		for _, c := range []struct{ path, body string }{
+			{"/v1/run", runBody}, {"/v1/sweep", body}, {"/v1/jobs", body},
+		} {
+			resp, b := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("body %d on %s = %d (%.200s), want 400", i, c.path, resp.StatusCode, b)
+				continue
+			}
+			var env errorEnvelope
+			if err := json.Unmarshal(b, &env); err != nil || !strings.Contains(env.Error.Message, "1024") {
+				t.Errorf("body %d on %s: rejection = %.200s, want it to name the 1024 bound", i, c.path, b)
+			}
 		}
 	}
 }

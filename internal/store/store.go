@@ -127,12 +127,11 @@ const touchDebounce = time.Minute
 // flush is set: a payload write persists a (possibly fresh) JSON blob
 // framed, carrying forward any response bytes already on disk; a frame
 // write persists an already-assembled frame verbatim (an outcome with
-// its response bytes, or a peer-adopted blob); a flush is the Snapshot
-// barrier.
+// its response bytes); a flush is the Snapshot barrier.
 type putReq struct {
 	name    string
 	payload []byte
-	frame   []byte        // pre-built frame (StoreWithResponse, AdoptFrame)
+	frame   []byte        // pre-built frame (StoreWithResponse)
 	upgrade bool          // payload write triggered by a v1 blob read
 	flush   chan struct{} // non-nil: flush barrier, no write
 	// platformName and specKey ride along on every write so the
@@ -205,9 +204,9 @@ type Options struct {
 	// read/write/remove syscall sites. Nil injects nothing.
 	Injector *faults.Injector
 	// OnWrite, when set, observes every successful blob persist (fresh
-	// puts, peer adoptions and v1→v2 upgrades). It runs on the single
-	// writer goroutine, so it must be fast and must never fail the
-	// write — provenance logging is the intended consumer.
+	// puts and v1→v2 upgrades). It runs on the single writer goroutine,
+	// so it must be fast and must never fail the write — provenance
+	// logging is the intended consumer.
 	OnWrite func(WriteEvent)
 }
 
@@ -337,9 +336,9 @@ func (s *Store) path(name string) string {
 // ValidAddr reports whether addr is a well-formed blob address: exactly
 // 64 lowercase hex characters, the only strings address() can produce.
 // Every path that builds a file name from an externally supplied
-// address (the cluster blob export, peer adoption) must check this
-// first — path() shards on addr[:2], so anything else is at best a
-// panic and at worst a traversal.
+// address (the cluster blob export) must check this first — path()
+// shards on addr[:2], so anything else is at best a panic and at worst
+// a traversal.
 func ValidAddr(addr string) bool {
 	if len(addr) != 64 {
 		return false
@@ -357,8 +356,8 @@ func ValidAddr(addr string) bool {
 // exact frame (or v1 bare JSON) writeOnce persisted, suitable for
 // byte-level export to a peer. The read goes through the same breaker
 // and retry policy as Load; a malformed address, a missing blob, or
-// degraded I/O is a miss. The bytes are not CRC-verified here: the
-// consumer (AdoptFrame on the fetching node) verifies before trusting.
+// degraded I/O is a miss. The bytes are not CRC-verified here: a
+// consumer must decode and verify the frame before trusting it.
 func (s *Store) ReadFrame(addr string) ([]byte, bool) {
 	if !ValidAddr(addr) {
 		return nil, false
@@ -385,57 +384,6 @@ func (s *Store) ReadFrame(addr string) ([]byte, bool) {
 	s.readBr.success()
 	return data, true
 }
-
-// AdoptFrame verifies a peer-exported blob and adopts it into the
-// local store, write-behind and budget-enforced like any other put.
-// The frame must decode (or be a v1 bare-JSON blob), its payload must
-// carry the current pipeline version, and the payload's identity must
-// re-derive exactly addr — a peer cannot plant bytes under an address
-// they do not hash to. On success it returns the decoded outcome plus
-// the frame's pre-marshaled response section (nil when absent) so the
-// fetching request can be answered from what was just adopted.
-func (s *Store) AdoptFrame(addr string, data []byte) (platform.Stored, []byte, error) {
-	if !ValidAddr(addr) {
-		return platform.Stored{}, nil, fmt.Errorf("store: adopt %q: malformed blob address", addr)
-	}
-	payload, resp, ferr := decodeFrame(data)
-	frame := data
-	if errors.Is(ferr, errNotFramed) {
-		// A v1 bare-JSON export: adopt it framed so this node never
-		// re-pays the upgrade read.
-		payload, resp = data, nil
-		frame = encodeFrame(payload, nil)
-	} else if ferr != nil {
-		return platform.Stored{}, nil, fmt.Errorf("store: adopt %.12s: %w", addr, ferr)
-	}
-	var b blob
-	if err := json.Unmarshal(payload, &b); err != nil {
-		return platform.Stored{}, nil, fmt.Errorf("store: adopt %.12s: payload does not decode: %w", addr, err)
-	}
-	if b.Version != PipelineVersion {
-		return platform.Stored{}, nil, fmt.Errorf("store: adopt %.12s: pipeline version %d (want %d)", addr, b.Version, PipelineVersion)
-	}
-	if b.Compile == nil && !b.Failed {
-		return platform.Stored{}, nil, fmt.Errorf("store: adopt %.12s: payload carries no outcome", addr)
-	}
-	if address(b.Platform, b.SpecKey) != addr {
-		return platform.Stored{}, nil, fmt.Errorf("store: adopt %.12s: payload identity (%s, %.12s) does not hash to the address", addr, b.Platform, b.SpecKey)
-	}
-	select {
-	case s.wq <- putReq{name: addr, frame: frame, platformName: b.Platform, specKey: b.SpecKey}:
-	case <-s.done:
-	}
-	if b.Run != nil {
-		b.Run.Compile = b.Compile
-	}
-	return platform.Stored{
-		Compile: b.Compile, Run: b.Run,
-		Failed: b.Failed, FailReason: b.FailReason,
-	}, resp, nil
-}
-
-// Store is the byte-level tier the server's warm path reads through.
-var _ platform.RawResponseStore = (*Store)(nil)
 
 // Load implements platform.ResultStore: a synchronous read-through
 // lookup. Any decode or identity failure deletes the blob and reports
@@ -758,7 +706,7 @@ func (s *Store) Store(platformName, specKey string, st platform.Stored) {
 	}
 }
 
-// StoreWithResponse implements platform.RawResponseStore: st and the
+// StoreWithResponse is /v1/run's write: st and the
 // pre-marshaled response bytes for the same outcome are framed
 // together here and persisted by one write-behind file write, so
 // LoadRaw can serve the bytes after a restart. Like Store it never
