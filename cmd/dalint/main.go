@@ -1,22 +1,16 @@
-// Command dalint is dabench's project-invariant checker: six custom
-// analyzers (internal/analysis) that mechanize rules earlier PRs
-// established by convention — append-only /v1/stats field order,
-// fault hooks outside memo cells, ValidAddr ahead of path handling,
-// no fresh root contexts on request paths, no mixed atomic/direct
-// access, no I/O under hot locks.
+// Command dalint is dabench's project-invariant checker: five custom
+// analyzers (internal/analysis) that mechanize rules earlier changes
+// established by convention — fault hooks outside memo cells,
+// ValidAddr ahead of path handling, no fresh root contexts on request
+// paths, no mixed atomic/direct access, no I/O under hot locks.
 //
-// Two driving modes share one suite:
+// It runs one way, as a vettool, so cmd/go plans the build and caches
+// the verdicts:
 //
-//	go vet -vettool=$(pwd)/dalint ./...   # CI: cmd/go plans the build
-//	dalint ./...                          # standalone, via go list
+//	go build -o bin/dalint ./cmd/dalint
+//	go vet -vettool=$(pwd)/bin/dalint ./...
 //
-// Standalone flags:
-//
-//	-list        print the analyzers and their contracts
-//	-only a,b    run only the named analyzers
-//	-dumporder   print the current wire field order of every type in
-//	             statsorder_manifest.json (JSON, ready to paste) —
-//	             run after a legitimate append to refresh the manifest
+// Invoked without a vet config, it prints a usage line and exits 2.
 //
 // A finding is suppressed only by an inline justification comment on
 // the offending line (or the line above):
@@ -26,12 +20,9 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"dabench/internal/analysis"
 	"dabench/internal/version"
@@ -60,62 +51,8 @@ func main() {
 	if cfg, ok := analysis.IsVetInvocation(args); ok {
 		os.Exit(analysis.RunVet(cfg, analysis.All(), os.Stderr))
 	}
-
-	fs := flag.NewFlagSet("dalint", flag.ExitOnError)
-	list := fs.Bool("list", false, "print the analyzers and exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	dump := fs.Bool("dumporder", false, "print the current wire field order for every manifest type and exit")
-	showVersion := fs.Bool("version", false, "print version and exit")
-	_ = fs.Parse(args)
-
-	if *showVersion {
-		fmt.Printf("dalint %s\n", version.Version)
-		return
-	}
-	if *list {
-		for _, a := range analysis.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	if *dump {
-		orders, err := analysis.DumpOrder(patterns, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		out, _ := json.MarshalIndent(map[string]any{"types": orders}, "", "  ")
-		fmt.Println(string(out))
-		return
-	}
-
-	analyzers := analysis.All()
-	if *only != "" {
-		analyzers = analyzers[:0:0]
-		for _, name := range strings.Split(*only, ",") {
-			a := analysis.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "dalint: unknown analyzer %q (see -list)\n", name)
-				os.Exit(1)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-	diags, err := analysis.RunPatterns(patterns, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, d := range diags {
-		fmt.Println(d)
-	}
-	if len(diags) > 0 {
-		os.Exit(2)
-	}
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(pwd)/bin/dalint ./...")
+	os.Exit(2)
 }
 
 // selfHash fingerprints the running binary for the vet cache key.

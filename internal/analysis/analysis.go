@@ -1,22 +1,19 @@
 // Package analysis is dabench's project-invariant analyzer suite: the
-// codebase's unwritten rules, mechanized. Nine PRs in, several
-// correctness invariants lived only in test suites and reviewer
-// memory — /v1/stats field order is append-only because CI greps
-// depend on it, fault hooks must fire outside memo.Cache.Do so
-// injected errors never poison cells, every externally supplied blob
-// address must pass store.ValidAddr before touching a path. At scale
-// those rules get broken by the next PR, not this one, so each is an
-// analyzer here and cmd/dalint runs the whole suite at `go vet
-// -vettool` time.
+// codebase's unwritten rules, mechanized. Several correctness
+// invariants used to live only in test suites and review comments —
+// fault hooks must fire outside memo.Cache.Do so injected errors never
+// poison cells, every externally supplied blob address must pass
+// store.ValidAddr before touching a path. Such rules get broken by the
+// next change, not this one, so each is an analyzer here and
+// cmd/dalint runs the whole suite at `go vet -vettool` time.
 //
 // The framework is a deliberate, stdlib-only miniature of
-// golang.org/x/tools/go/analysis: the container bakes no third-party
-// modules, and the six analyzers need nothing the standard library's
-// go/ast + go/types cannot provide. An Analyzer inspects one
-// type-checked package through a Pass and reports Diagnostics; the
-// drivers (vettool protocol in unitchecker.go, `go list` loader in
-// loader.go, fixture loader in the tests) only differ in how they
-// produce the Pass.
+// golang.org/x/tools/go/analysis: the module has no third-party
+// dependencies, and the five analyzers need nothing the standard
+// library's go/ast + go/types cannot provide. An Analyzer inspects one
+// type-checked package through a Pass and reports Diagnostics. There
+// is one driver, the vettool protocol in unitchecker.go; the fixture
+// loader in the tests produces the same Pass from testdata sources.
 //
 // Suppression: a diagnostic is silenced by an inline comment on the
 // reported line or the line above it, and the justification is not
@@ -40,7 +37,7 @@ type Analyzer struct {
 	// Name is the analyzer's identifier: what diagnostics carry and
 	// what a //dalint:ignore comment names.
 	Name string
-	// Doc is the one-paragraph contract, shown by `dalint -list`.
+	// Doc is the one-paragraph contract the analyzer enforces.
 	Doc string
 	// Run inspects one package via pass and reports violations.
 	Run func(pass *Pass)
@@ -55,18 +52,7 @@ func All() []*Analyzer {
 		LockHeldIO,
 		MemoFault,
 		NoCtxBg,
-		StatsOrder,
 	}
-}
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // A Pass presents one type-checked package to one analyzer.
@@ -119,8 +105,8 @@ func CanonicalPkgPath(path string) string {
 
 // CheckPackage runs every analyzer in analyzers over one type-checked
 // package and returns the surviving diagnostics: suppressed ones are
-// filtered, the rest sorted by position. pkg and info may come from
-// any driver (export-data importer, source importer, test fixture).
+// filtered, the rest sorted by position. pkg and info come from the
+// vettool driver or the test fixture loader.
 func CheckPackage(fset *token.FileSet, files []*ast.File, pkgPath string, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {

@@ -1,16 +1,14 @@
 package analysis
 
 // analysis_test.go covers the framework around the analyzers: the
-// suppression grammar, the vettool protocol (RunVet against a
-// handcrafted vet.cfg), and the guard that keeps the committed
-// statsorder manifest in lockstep with the real tree.
+// suppression grammar and the vettool protocol (RunVet against a
+// handcrafted vet.cfg).
 
 import (
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -131,34 +129,5 @@ func TestRunVetVetxOnly(t *testing.T) {
 	}
 	if _, err := os.Stat(vetx); err != nil {
 		t.Errorf("vetx output not written: %v", err)
-	}
-}
-
-// TestManifestMatchesTree regenerates every real (slash-qualified)
-// manifest entry from the tree and holds the committed file to it —
-// the committed manifest cannot drift from the code it pins. Fixture
-// entries ("statsorder.*") live under testdata and are exercised by
-// the statsorder fixture test instead.
-func TestManifestMatchesTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerating the manifest shells out to go list over the module")
-	}
-	manifest, err := loadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DumpOrder([]string{"dabench/..."}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, want := range manifest.Types {
-		if !strings.Contains(key, "/") {
-			continue
-		}
-		if fields, ok := got[key]; !ok {
-			t.Errorf("manifest entry %s: type not found in tree", key)
-		} else if !reflect.DeepEqual(fields, want) {
-			t.Errorf("manifest entry %s is stale:\n  tree:     %v\n  manifest: %v\nregenerate with `dalint -dumporder ./...`", key, fields, want)
-		}
 	}
 }

@@ -242,7 +242,6 @@ func TestAtomicPtrFixture(t *testing.T)  { runFixture(t, AtomicPtr, "atomicptr")
 func TestLockHeldIOFixture(t *testing.T) { runFixture(t, LockHeldIO, "dabench/internal/telemetry") }
 func TestMemoFaultFixture(t *testing.T)  { runFixture(t, MemoFault, "memofault") }
 func TestNoCtxBgFixture(t *testing.T)    { runFixture(t, NoCtxBg, "dabench/internal/jobs") }
-func TestStatsOrderFixture(t *testing.T) { runFixture(t, StatsOrder, "statsorder") }
 
 // TestNoCtxBgUngatedPackage pins the gate itself: the same violating
 // shape outside a request-path package reports nothing.

@@ -4,21 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"strings"
 )
 
-// unitchecker.go speaks cmd/go's vettool protocol, so CI runs the
-// suite as `go vet -vettool=$(which dalint) ./...`: the go command
-// plans the build, compiles dependencies, and invokes dalint once per
-// package with a JSON config file naming the sources and every
-// dependency's export data. This is a stdlib re-implementation of the
-// x/tools unitchecker contract (the container bakes no third-party
-// modules); the config struct mirrors cmd/go/internal/work's
-// vetConfig field for field.
+// unitchecker.go is the suite's one driver. It speaks cmd/go's
+// vettool protocol, so the suite runs as `go vet
+// -vettool=$(which dalint) ./...`: the go command plans the build,
+// compiles dependencies, and invokes dalint once per package with a
+// JSON config file naming the sources and every dependency's export
+// data. This is a stdlib re-implementation of the x/tools unitchecker
+// contract (the module has no third-party dependencies); the config
+// struct mirrors cmd/go/internal/work's vetConfig field for field.
 
 // VetConfig is the JSON payload cmd/go writes to <objdir>/vet.cfg.
 type VetConfig struct {
@@ -119,4 +121,55 @@ func IsVetInvocation(args []string) (cfgPath string, ok bool) {
 		return last, true
 	}
 	return "", false
+}
+
+// Typecheck runs go/types over parsed files with the given importer,
+// returning the package and a fully populated Info. Shared by the
+// vettool driver and the test fixture loader.
+func Typecheck(fset *token.FileSet, files []*ast.File, path string, imp types.Importer) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
+	conf := types.Config{
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", "amd64"),
+	}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkg, info, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// newExportImporter builds an importer that resolves source import
+// paths through importMap (test variants, vendoring) and reads gc
+// export data files from exports.
+func newExportImporter(fset *token.FileSet, importMap map[string]string, exports map[string]string) types.Importer {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	return importerFunc(func(path string) (*types.Package, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
+		}
+		if path == "unsafe" {
+			return types.Unsafe, nil
+		}
+		return gc.(types.ImporterFrom).ImportFrom(path, "", 0)
+	})
 }

@@ -327,8 +327,8 @@ func (sc *Scenario) compile() (*axes, error) {
 	for _, tp := range a.tps {
 		// 0 is legal here: it means "no tensor parallelism", matching
 		// TrainSpec's own >= 0 rule.
-		if tp < 0 {
-			return nil, fmt.Errorf("scenario: tensor_parallel must be >= 0 (got %d)", tp)
+		if tp < 0 || tp > platform.MaxParallelism {
+			return nil, fmt.Errorf("scenario: tensor_parallel must be in [0, %d] (got %d)", platform.MaxParallelism, tp)
 		}
 	}
 	if len(g.Modes) == 0 {
@@ -353,10 +353,10 @@ func (sc *Scenario) compile() (*axes, error) {
 
 	// Every grid point must be a valid TrainSpec *now*: a bad document
 	// has to fail at parse/submission, not deep inside an executor as
-	// an internal error. The axes already check their own positivity,
-	// and of the remaining TrainSpec rules only the layer count feeds
-	// Validate, so probing one spec per layer value covers the whole
-	// product without expanding it.
+	// an internal error. The batch and tensor_parallel axes already
+	// check the bounds Validate applies to them, and precisions and
+	// modes feed no Validate rule, so probing one spec per layer value
+	// covers the whole product without expanding it.
 	for _, l := range a.layers {
 		probe := a.base
 		probe.Model = probe.Model.WithLayers(l)

@@ -183,17 +183,24 @@ func TestRunProgressAndFailures(t *testing.T) {
 }
 
 // TestInvalidSpecsFailAtParse: a document whose specs cannot validate
-// (bad seq, seq over the model max) must fail at Parse/Points —
-// submission time — not deep inside an executor as an internal error.
+// (bad seq, seq over the model max, a tensor-parallel degree past
+// platform.MaxParallelism) must fail at Parse/Points — submission time
+// — not deep inside an executor as an internal error.
 func TestInvalidSpecsFailAtParse(t *testing.T) {
 	cases := map[string]string{
 		"negative seq": `{"version":1,"name":"x","platforms":["wse"],"base":{"model":"gpt2-small","seq":-5}}`,
 		"seq over max": `{"version":1,"name":"x","platforms":["wse"],"base":{"model":"gpt2-small","seq":999999}}`,
+		"tp over max":  `{"version":1,"name":"x","platforms":["rdu"],"base":{"model":"gpt2-small"},"grid":{"tensor_parallel":[1,1025]}}`,
+		"tp 2^62":      `{"version":1,"name":"x","platforms":["rdu"],"base":{"model":"gpt2-small"},"grid":{"tensor_parallel":[4611686018427387904]}}`,
 	}
 	for label, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
 			t.Errorf("%s: accepted %s", label, doc)
 		}
+	}
+	const atBound = `{"version":1,"name":"x","platforms":["rdu"],"base":{"model":"gpt2-small"},"grid":{"tensor_parallel":[1,1024]}}`
+	if _, err := Parse([]byte(atBound)); err != nil {
+		t.Errorf("tp at the bound rejected: %v", err)
 	}
 }
 

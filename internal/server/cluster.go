@@ -154,7 +154,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	outs, _, err := s.runChunk(ctx, a, req.Start, req.End)
 	if err != nil {
-		s.writeRunError(w, err)
+		s.writePointError(w, err)
 		return
 	}
 	resp := ChunkResponse{Results: make([]RunResult, len(outs))}

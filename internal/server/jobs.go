@@ -29,12 +29,13 @@ import (
 const jobChunk = 256
 
 // runChunk executes one job chunk [lo, hi) under the chunk retry
-// policy: a hard error (anything sweep.Tolerating lets through) backs
-// off and retries the whole chunk up to Config.ChunkRetries attempts.
-// Point compiles are memoized, so a retry only re-runs what actually
-// failed. Context errors are never retried — cancellation must stay
+// policy: an injected fault backs off and retries the whole chunk up
+// to Config.ChunkRetries attempts. Point compiles are memoized, so a
+// retry only re-runs what actually failed. Any other hard error is
+// returned at once: the simulators are pure functions of the spec, so
+// it would recur on every attempt, and context errors must stay
 // prompt. Returns the outcomes, the attempts consumed, and the final
-// error if the budget ran dry.
+// error.
 func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]sweep.Outcome[RunResult], int, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -53,7 +54,7 @@ func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]swee
 			return outs, attempt, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil || attempt >= s.cfg.ChunkRetries {
+		if !faults.IsInjected(err) || ctx.Err() != nil || attempt >= s.cfg.ChunkRetries {
 			return nil, attempt, lastErr
 		}
 		s.chunkRetries.Add(1)
@@ -321,10 +322,12 @@ func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(
 		}
 		outs, attempts, err := s.runChunk(ctx, a, lo, hi)
 		if err != nil {
-			if ctx.Err() != nil {
+			if ctx.Err() != nil || specRejected(err) {
 				// Cancellation and shutdown keep their wholesale semantics:
 				// the manager turns them into cancelled/revived, and a
-				// quarantine entry would misclassify them as poison.
+				// quarantine entry would misclassify them as poison. A
+				// rejected spec fails the job with the simulator's message,
+				// as the same request fails a synchronous sweep.
 				return nil, err
 			}
 			// Poison chunk: quarantine it and keep going. The job finishes

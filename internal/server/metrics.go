@@ -16,8 +16,8 @@ import (
 // registry owns only the stage histograms; every other series is
 // folded in at scrape time by one collector reading the same sources
 // /v1/stats reads, so the two surfaces can never disagree about a
-// count. /v1/stats stays unchanged for humans and the existing CI
-// greps; fleets scrape this.
+// count. /v1/stats stays the JSON view for humans and for CI, which
+// reads its fields by name with jq; fleets scrape this.
 //
 // Naming scheme: every series is dabench_<subsystem>_<what>[_total],
 // seconds for durations, bytes for sizes; monotonic counts end in

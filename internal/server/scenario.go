@@ -199,7 +199,7 @@ func (s *Server) handleScenarioSubmit(w http.ResponseWriter, r *http.Request) {
 	out, err := scenario.Run(ctx, sc, scenario.RunOptions{})
 	st.observe(stgRun, time.Since(t))
 	if err != nil {
-		s.writeRunError(w, err)
+		s.writePointError(w, err)
 		return
 	}
 	t = time.Now()

@@ -771,7 +771,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		})
 	st.observe(stgRun, time.Since(t))
 	if err != nil {
-		s.writeRunError(w, err)
+		s.writePointError(w, err)
 		return
 	}
 
@@ -928,6 +928,28 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
+}
+
+// specRejected reports whether err, from compiling or running a point
+// whose spec passed validation, rejects that spec. The simulators are
+// pure functions of the spec, so an error that is not a placement
+// failure (a finding), an injected fault, a poisoned memo cell or a
+// context error is the request's fault and recurs on every attempt.
+func specRejected(err error) bool {
+	return !platform.IsCompileFailure(err) && !faults.IsInjected(err) &&
+		!errors.Is(err, memo.ErrPanicked) &&
+		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+}
+
+// writePointError answers a request whose points failed: a rejected
+// spec is a 400 with the simulator's message, as /v1/run answers it;
+// anything else maps as writeRunError does.
+func (s *Server) writePointError(w http.ResponseWriter, err error) {
+	if specRejected(err) {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
+	}
+	s.writeRunError(w, err)
 }
 
 // writeRunError maps a pipeline error to the wire: deadline → 504,

@@ -16,7 +16,10 @@ import (
 	"time"
 
 	"dabench/internal/experiments"
+	"dabench/internal/faults"
+	"dabench/internal/jobs"
 	"dabench/internal/platform"
+	"dabench/internal/store"
 	"dabench/internal/trace"
 )
 
@@ -94,6 +97,98 @@ func TestStatsShape(t *testing.T) {
 			t.Errorf("stats missing cache tier %q", tier)
 		}
 	}
+}
+
+// jsonKind walks a dotted path through a decoded JSON document and
+// returns the JSON type of the value there, or "" when a segment is
+// missing.
+func jsonKind(doc map[string]any, path string) string {
+	var v any = doc
+	for _, seg := range strings.Split(path, ".") {
+		m, ok := v.(map[string]any)
+		if !ok {
+			return ""
+		}
+		if v, ok = m[seg]; !ok {
+			return ""
+		}
+	}
+	switch v.(type) {
+	case float64:
+		return "number"
+	case string:
+		return "string"
+	case map[string]any:
+		return "object"
+	}
+	return fmt.Sprintf("%T", v)
+}
+
+// requireFields decodes the JSON document at url and requires each
+// dotted path to hold a value of the given JSON type.
+func requireFields(t *testing.T, url string, want map[string]string) {
+	t.Helper()
+	var doc map[string]any
+	getJSON(t, url, &doc)
+	for path, kind := range want {
+		if got := jsonKind(doc, path); got != kind {
+			t.Errorf("%s: %s is %q, want %s", url, path, got, kind)
+		}
+	}
+}
+
+// TestStatsFieldsHaveReaders pins the /v1/stats and /healthz fields
+// something reads by name: CI's jq steps and perfbench's
+// sweep_workers. Each must keep its name and JSON type in the state its
+// reader sees it: a store-backed daemon restarted over its data dir
+// with store writes failing (the smoke, warm-restart and fault steps),
+// and a fleet node (the cluster step). Fields nobody reads are free to
+// change.
+func TestStatsFieldsHaveReaders(t *testing.T) {
+	dir := t.TempDir()
+	const run = `{"platform":"wse","model":"gpt2-small","layers":6,"batch":256}`
+	st1, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := newTestServer(t, Config{Store: st1})
+	if resp, b := postJSON(t, ts1.URL+"/v1/run", run); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first life run = %d: %s", resp.StatusCode, b)
+	}
+	ts1.Close()
+	st1.Close()
+
+	in := serverInjector(t, faults.Spec{Seed: 42, Rules: []faults.Rule{
+		{Op: faults.OpStoreWrite, Kind: faults.KindEIO},
+	}})
+	st2, err := store.OpenOptions(dir, store.Options{RetryAttempts: 1, BreakerThreshold: 1, Injector: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	ts2 := newTestServer(t, Config{Store: st2, Injector: in})
+	// A raw-lane answer, then a cold run whose write fails and trips
+	// the write breaker.
+	for _, body := range []string{run, `{"platform":"wse","model":"gpt2-small","batch":16}`} {
+		if resp, b := postJSON(t, ts2.URL+"/v1/run", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("second life run = %d: %s", resp.StatusCode, b)
+		}
+	}
+	st2.Snapshot() // drain the write-behind queue
+	requireFields(t, ts2.URL+"/healthz", map[string]string{
+		"status": "string", "components.store.status": "string",
+	})
+	requireFields(t, ts2.URL+"/v1/stats", map[string]string{
+		"sweep_workers": "number", "caches": "object", "jobs": "object",
+		"caches.compile.hits": "number", "caches.compile.misses": "number",
+		"not_modified": "number", "store.raw_hits": "number",
+		"store.write_breaker.state": "string", "faults.seed": "number",
+	})
+
+	node := newFleet(t, 2, nil)[0]
+	requireFields(t, node.ts.URL+"/v1/stats", map[string]string{
+		"cluster.peers_alive": "number", "cluster.peer_fetch_hits": "number",
+	})
 }
 
 func TestRunEndpoint(t *testing.T) {
@@ -433,6 +528,66 @@ func TestOverParallelSpecsRejected(t *testing.T) {
 				t.Errorf("body %d on %s: rejection = %.200s, want it to name the 1024 bound", i, c.path, b)
 			}
 		}
+	}
+}
+
+// wantClientError requires a 400 bad_request envelope whose message
+// contains msg.
+func wantClientError(t *testing.T, what string, resp *http.Response, b []byte, msg string) {
+	t.Helper()
+	var env errorEnvelope
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &env) != nil ||
+		env.Error.Code != CodeBadRequest || !strings.Contains(env.Error.Message, msg) {
+		t.Errorf("%s = %d (%.200s), want 400 bad_request naming %q", what, resp.StatusCode, b, msg)
+	}
+}
+
+// TestRejectedSpecsAreClientErrors: a spec that passes request
+// validation but that its simulator rejects is the client's error on
+// every surface, as it is on /v1/run. A sweep or a synchronous
+// scenario answers 400 with the simulator's message, and a job settles
+// failed at once: no chunk retries, no quarantine, /healthz stays ok.
+func TestRejectedSpecsAreClientErrors(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, c := range []struct{ body, msg string }{
+		{`{"platform":"wse","model":"gpt2-small","tensor_parallel":8,"batches":[1,2]}`, "tensor parallelism is not supported"},
+		{`{"platform":"ipu","model":"gpt2-small","data_parallel":8,"batches":[1,2]}`, "data parallelism is not modeled"},
+		{`{"platform":"gpu","model":"gpt2-small","tensor_parallel":10,"batches":[1,2]}`, "must tile 8-GPU nodes"},
+	} {
+		resp, b := postJSON(t, ts.URL+"/v1/sweep", c.body)
+		wantClientError(t, "/v1/sweep "+c.body, resp, b, c.msg)
+
+		resp, b = postJSON(t, ts.URL+"/v1/jobs", c.body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("/v1/jobs %s = %d (%s), want 202", c.body, resp.StatusCode, b)
+		}
+		var v jobs.View
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v = waitJobState(t, ts, v.ID, jobs.StateFailed); !strings.Contains(v.Error, c.msg) {
+			t.Errorf("job %s error = %q, want it to name %q", c.body, v.Error, c.msg)
+		}
+	}
+	for _, c := range []struct{ doc, msg string }{
+		{`{"version":1,"name":"x","platforms":["wse"],"base":{"model":"gpt2-small"},"grid":{"tensor_parallel":[8]}}`, "tensor parallelism is not supported"},
+		{`{"version":1,"name":"x","platforms":["ipu"],"base":{"model":"gpt2-small"},"grid":{"tensor_parallel":[8]}}`, "tensor parallelism is not supported"},
+		{`{"version":1,"name":"x","platforms":["gpu"],"base":{"model":"gpt2-small"},"grid":{"tensor_parallel":[10]}}`, "must tile 8-GPU nodes"},
+		{`{"version":1,"name":"x","platforms":["rdu"],"base":{"model":"gpt2-small"},"grid":{"tensor_parallel":[1,1025]}}`, "1024"},
+	} {
+		resp, b := postScenario(t, ts.URL, c.doc, "")
+		wantClientError(t, "/v1/scenarios "+c.doc, resp, b, c.msg)
+	}
+
+	var st Stats
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.ChunkRetries != 0 || st.ChunksQuarantined != 0 {
+		t.Errorf("chunk_retries/quarantined = %d/%d, want 0/0", st.ChunkRetries, st.ChunksQuarantined)
+	}
+	var h healthResponse
+	getJSON(t, ts.URL+"/healthz", &h)
+	if h.Status != "ok" || h.Components["jobs"].Status != "ok" {
+		t.Errorf("healthz = %+v, want ok", h)
 	}
 }
 
