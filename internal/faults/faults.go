@@ -112,9 +112,16 @@ type Rule struct {
 	// matching, which is how a spec expresses "fail the first N
 	// operations, then heal" — the shape breaker-recovery tests need.
 	Count int64 `json:"count,omitempty"`
-	// DelayMs is the stall for kind "slow" (default 10ms).
+	// DelayMs is the stall for kind "slow" (default 10ms), at most
+	// MaxDelayMs.
 	DelayMs int `json:"delay_ms,omitempty"`
 }
+
+// MaxDelayMs bounds a rule's delay_ms at one hour. time.Duration holds
+// about 2.5 million hours, so a larger value could wrap to no stall at
+// all; at one hour a rule's stall cannot, and Fire's sum over the slow
+// rules of one op only past 2.5 million of them.
+const MaxDelayMs = 3_600_000
 
 // Spec is the wire form of an injector configuration — what
 // `dabenchd -fault-spec` loads.
@@ -208,8 +215,8 @@ func New(spec Spec) (*Injector, error) {
 		if r.Probability == 0 {
 			r.Probability = 1
 		}
-		if r.DelayMs < 0 {
-			return nil, fmt.Errorf("faults: rule %d: delay_ms %d must be >= 0", i, r.DelayMs)
+		if r.DelayMs < 0 || r.DelayMs > MaxDelayMs {
+			return nil, fmt.Errorf("faults: rule %d: delay_ms %d out of [0, %d]", i, r.DelayMs, MaxDelayMs)
 		}
 		if r.Kind == KindSlow && r.DelayMs == 0 {
 			r.DelayMs = 10
@@ -256,11 +263,19 @@ func Load(arg string) (*Injector, error) {
 // and keep scanning. A nil receiver never fires. Budget is consumed per
 // fire, so exhausted rules fall silent.
 func (in *Injector) Fire(op Op) error {
-	if in == nil {
-		return nil
+	stall, err := in.eval(op)
+	if stall > 0 {
+		time.Sleep(stall)
 	}
-	var stall time.Duration
-	var ferr error
+	return err
+}
+
+// eval is Fire without the stall: it consumes budget for every rule
+// that fires on op and returns their summed delay with the error.
+func (in *Injector) eval(op Op) (stall time.Duration, ferr error) {
+	if in == nil {
+		return 0, nil
+	}
 	in.mu.Lock()
 	for _, r := range in.rules {
 		if r.Op != op || r.remaining == 0 {
@@ -282,10 +297,7 @@ func (in *Injector) Fire(op Op) error {
 		break
 	}
 	in.mu.Unlock()
-	if stall > 0 {
-		time.Sleep(stall)
-	}
-	return ferr
+	return stall, ferr
 }
 
 // RuleStats is one rule's live counters in Stats.

@@ -20,11 +20,27 @@ func TestValidation(t *testing.T) {
 		{"probability > 1", Spec{Rules: []Rule{{Op: OpStoreRead, Kind: KindEIO, Probability: 1.5}}}},
 		{"negative probability", Spec{Rules: []Rule{{Op: OpStoreRead, Kind: KindEIO, Probability: -0.1}}}},
 		{"negative delay", Spec{Rules: []Rule{{Op: OpStoreRead, Kind: KindSlow, DelayMs: -1}}}},
+		{"delay over an hour", Spec{Rules: []Rule{{Op: OpStoreRead, Kind: KindSlow, DelayMs: MaxDelayMs + 1}}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.spec); err == nil {
 			t.Errorf("%s: New accepted an invalid spec", tc.name)
 		}
+	}
+}
+
+// TestDelayBound: a delay_ms whose stall would wrap time.Duration to
+// 0 ns is rejected, and one hour is the largest delay accepted.
+func TestDelayBound(t *testing.T) {
+	if _, err := Parse([]byte(`{"rules":[{"op":"compile","kind":"slow","delay_ms":9300000000000}]}`)); err == nil {
+		t.Error("Parse accepted a delay_ms that wraps time.Duration")
+	}
+	in, err := Parse([]byte(`{"rules":[{"op":"compile","kind":"slow","delay_ms":3600000}]}`))
+	if err != nil {
+		t.Fatalf("Parse rejected a one-hour delay: %v", err)
+	}
+	if d := in.rules[0].DelayMs; d != MaxDelayMs {
+		t.Errorf("delay_ms = %d, want %d", d, MaxDelayMs)
 	}
 }
 

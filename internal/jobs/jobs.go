@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -147,7 +148,8 @@ type Gauges struct {
 	Failed    int64 `json:"failed"`
 	Cancelled int64 `json:"cancelled"`
 	// Replayed counts jobs revived from the journal on boot; Torn
-	// counts journal lines dropped as corrupt during that replay.
+	// counts journal lines dropped as corrupt during that replay,
+	// including submitted records whose id is malformed or repeated.
 	Replayed int64 `json:"replayed,omitempty"`
 	Torn     int64 `json:"torn_records,omitempty"`
 	// Journal is the journal's durability health; nil for an ephemeral
@@ -257,12 +259,19 @@ func (m *Manager) replay() ([]*job, error) {
 	for _, r := range recs {
 		switch r.Event {
 		case eventSubmitted:
+			// Only a new id of the minted form names a job: any other
+			// could list twice or put its result outside resultsDir.
+			n := idNumber(r.Job)
+			if n < 0 || m.jobs[r.Job] != nil {
+				m.torn++
+				continue
+			}
 			m.jobs[r.Job] = &job{
 				id: r.Job, state: StateQueued, points: r.Points,
 				created: r.Time, request: r.Request,
 			}
 			m.order = append(m.order, r.Job)
-			if n := idNumber(r.Job); n >= m.nextID {
+			if n >= m.nextID {
 				m.nextID = n + 1
 			}
 		case eventRunning:
@@ -325,14 +334,15 @@ func (m *Manager) replay() ([]*job, error) {
 	return revived, nil
 }
 
-// idNumber extracts the numeric suffix of "job-000042"; -1 if malformed.
+// jobID is the id Submit mints for job number n: "job-000042".
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+
+// idNumber returns n for the id jobID(n) of a non-negative n below
+// math.MaxInt, so that nextID = n+1 cannot overflow, and -1 for any
+// other string.
 func idNumber(id string) int {
-	s, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return -1
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || n < 0 || n == math.MaxInt || jobID(n) != id {
 		return -1
 	}
 	return n
@@ -348,7 +358,7 @@ func (m *Manager) Submit(req json.RawMessage, points int) (View, error) {
 		return View{}, ErrClosed
 	}
 	j := &job{
-		id:      fmt.Sprintf("job-%06d", m.nextID),
+		id:      jobID(m.nextID),
 		state:   StateQueued,
 		points:  points,
 		created: time.Now().UTC(),

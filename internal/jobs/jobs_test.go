@@ -19,7 +19,7 @@ func echoRun(_ context.Context, req json.RawMessage, progress func(done, failed 
 	return json.RawMessage(`{"echo":` + string(req) + `}`), nil
 }
 
-func waitState(t *testing.T, m *Manager, id string, want State) View {
+func waitState(t testing.TB, m *Manager, id string, want State) View {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -357,6 +357,93 @@ func TestTornJournalRecordIsSkipped(t *testing.T) {
 	}
 	if c.ID == a.ID || c.ID == "job-000001" {
 		t.Errorf("ID collision after replay: %s", c.ID)
+	}
+}
+
+// writeJournal writes lines as dir's journal, one record a line.
+func writeJournal(t *testing.T, dir string, lines ...string) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data := strings.Join(lines, "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func submittedLine(t testing.TB, id string) string {
+	t.Helper()
+	line, err := json.Marshal(record{
+		Job: id, Event: eventSubmitted, Time: time.Unix(0, 0).UTC(),
+		Points: 1, Request: json.RawMessage(`{}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(line)
+}
+
+// TestReplayRejectsUnmintedJobIDs: a submitted record whose id Submit
+// could not have minted is torn, not a job. Revived, "../../../escaped"
+// would write its result three directories above the results dir;
+// job-9223372036854775807 would overflow the next id.
+func TestReplayRejectsUnmintedJobIDs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a", "b", "data")
+	bad := []string{"../../../escaped", "job-1", "job-+00001", "job--00001", "job-0000001", "job-9223372036854775807", "job-000001/x"}
+	var lines []string
+	for _, id := range bad {
+		lines = append(lines, submittedLine(t, id))
+	}
+	lines = append(lines, submittedLine(t, "job-000007"))
+	writeJournal(t, dir, lines...)
+
+	m, err := Open(Config{Dir: dir, Run: echoRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, "job-000007", StateDone)
+	views := m.List()
+	g := m.Stats()
+	next, err := m.Submit(json.RawMessage(`{}`), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+
+	if len(views) != 1 || views[0].ID != "job-000007" {
+		t.Errorf("replayed jobs = %+v, want job-000007 alone", views)
+	}
+	if g.Torn != int64(len(bad)) || g.Replayed != 1 {
+		t.Errorf("torn = %d, replayed = %d; want %d and 1", g.Torn, g.Replayed, len(bad))
+	}
+	if next.ID != "job-000008" {
+		t.Errorf("next id = %s, want job-000008", next.ID)
+	}
+	escaped := filepath.Join(dir, "results", "../../../escaped.json")
+	if _, err := os.Stat(escaped); !os.IsNotExist(err) {
+		t.Errorf("a replayed job wrote %s (stat err %v)", filepath.Clean(escaped), err)
+	}
+}
+
+// TestReplayDropsDuplicateSubmission: a second submitted record for
+// one id is torn, so the job lists and revives once.
+func TestReplayDropsDuplicateSubmission(t *testing.T) {
+	dir := t.TempDir()
+	line := submittedLine(t, "job-000000")
+	writeJournal(t, dir, line, line)
+
+	m, err := Open(Config{Dir: dir, Run: echoRun})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	waitState(t, m, "job-000000", StateDone)
+	if views := m.List(); len(views) != 1 {
+		t.Errorf("listed %d jobs, want 1: %+v", len(views), views)
+	}
+	if g := m.Stats(); g.Replayed != 1 || g.Torn != 1 || g.Done != 1 {
+		t.Errorf("gauges = %+v, want replayed 1, torn 1, done 1", g)
 	}
 }
 

@@ -89,8 +89,6 @@ func resolve(spec platform.TrainSpec) (platform.CompileMode, int, error) {
 // capacity check, per-section timing under TP, and the Eq. 2 weighted
 // allocation.
 func (s *Sim) report(spec platform.TrainSpec, mode platform.CompileMode, tp int, secs []section) (*platform.CompileReport, error) {
-	sortSections(secs)
-
 	// DDR capacity check: weights + gradients + optimizer state.
 	p := float64(spec.Model.Params())
 	statePerChip := p * (2 + 2 + 8 + spec.Precision.MasterWeightBytes()) / float64(tp)
@@ -109,9 +107,18 @@ func (s *Sim) report(spec platform.TrainSpec, mode platform.CompileMode, tp int,
 		pcuDrop, pmuDrop = tpCrossPCUDrop, tpCrossPMUDrop
 	}
 
+	// Tasks are listed by section name, equal names in build order. The
+	// stable sort permutes indices rather than moving the sections.
+	order := make([]int, len(secs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(secs[a].name, secs[b].name) })
+
 	overhead := switchOverhead(mode)
 	tasks := make([]platform.Task, 0, len(secs))
-	for _, sec := range secs {
+	for _, k := range order {
+		sec := &secs[k]
 		pcu := sec.pcus * pcuDrop
 		pmu := sec.pmus * pmuDrop
 		t := sectionTime(sec, pcu, spec, tp) + overhead
@@ -177,7 +184,7 @@ func switchOverhead(mode platform.CompileMode) float64 {
 
 // sectionTime is one invocation's wall time (excluding switch
 // overhead): the max of compute time and DDR streaming time.
-func sectionTime(sec section, pcus float64, spec platform.TrainSpec, tp int) float64 {
+func sectionTime(sec *section, pcus float64, spec platform.TrainSpec, tp int) float64 {
 	if pcus <= 0 {
 		return math.Inf(1)
 	}

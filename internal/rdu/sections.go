@@ -2,7 +2,6 @@ package rdu
 
 import (
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -103,7 +102,9 @@ func buildO0(spec platform.TrainSpec) ([]section, error) {
 	}
 	h := spec.Model.HiddenSize
 	secs := make([]section, 0, g.Len())
-	for _, n := range g.Nodes() {
+	// Each section carries one op row; the rows share one backing array.
+	rows := make([]metrics.TaskSample, g.Len())
+	for k, n := range g.Nodes() {
 		inv := 1
 		if n.Layer >= 0 {
 			inv = spec.Model.NumLayers
@@ -118,16 +119,17 @@ func buildO0(spec platform.TrainSpec) ([]section, error) {
 		if isMatmulKind(n.Kind) {
 			kind = "matmul"
 		}
+		rows[k] = metrics.TaskSample{
+			Name: key, Resources: pc,
+			Throughput: opThroughput(n, pc, spec.Precision),
+		}
 		secs = append(secs, section{
 			name: key, kind: kind,
 			pcus:  clampF(pc, pointwisePCUs, maxSectionPCUs),
 			pmus:  opPMUs(n.Kind, pc),
 			flops: flops, ddrBytes: traffic,
 			invocations: inv,
-			ops: []metrics.TaskSample{{
-				Name: key, Resources: pc,
-				Throughput: opThroughput(n, pc, spec.Precision),
-			}},
+			ops:         rows[k : k+1 : k+1],
 		})
 	}
 	return secs, nil
@@ -161,7 +163,8 @@ func buildO1(spec platform.TrainSpec) ([]section, error) {
 	// A fused (module, phase) group: one layer's operators in graph
 	// order, and the section totals accumulated over all L layers.
 	type agg struct {
-		key, kind                  string
+		mod                        string
+		phase                      graph.Phase
 		nodes                      []*graph.Node
 		flops, traffic, pcus, pmus float64
 	}
@@ -173,13 +176,12 @@ func buildO1(spec platform.TrainSpec) ([]section, error) {
 	for _, n := range g.Nodes() {
 		if n.Layer >= 0 {
 			mod := moduleOf(templateKey(n.Name))
-			key := mod + "." + n.Phase.String()
 			i := 0
-			for i < len(groups) && groups[i].key != key {
+			for i < len(groups) && (groups[i].mod != mod || groups[i].phase != n.Phase) {
 				i++
 			}
 			if i == len(groups) {
-				groups = append(groups, &agg{key: key, kind: moduleKind(mod)})
+				groups = append(groups, &agg{mod: mod, phase: n.Phase})
 			}
 			groups[i].nodes = append(groups[i].nodes, n)
 			continue
@@ -203,18 +205,22 @@ func buildO1(spec platform.TrainSpec) ([]section, error) {
 	}
 
 	for _, a := range groups {
-		// Accumulate layer by layer, in the order an L-layer walk adds
-		// the group's nodes, so the sums round as that walk's do (a
-		// one-layer subtotal times L would not; see layerSum). From the
-		// second layer on, the PMU maximum sees the group's full fused
-		// width, as it does there.
+		// Sum layer by layer, in the order an L-layer walk adds the
+		// group's nodes, so the totals round as that walk's do (a
+		// one-layer subtotal times L would not; see layerSum).
 		for l := 0; l < L; l++ {
 			for _, n := range a.nodes {
 				a.flops += float64(n.FLOPs)
 				a.traffic += float64(n.Traffic())
-				// Fused module operators share the section spatially;
-				// the section allocation is the fused-pipeline width,
-				// not the sum of operator widths.
+			}
+		}
+		// Fused module operators share the section spatially; the
+		// section allocation is the fused-pipeline width, not the sum
+		// of operator widths. The walk's running maxima settle by its
+		// second layer, where the PMU maximum first sees the group's
+		// full fused width; later layers repeat that layer's values.
+		for l := 0; l < min(L, 2); l++ {
+			for _, n := range a.nodes {
 				if b := clampF(opPCUs(n.Kind, h)*o1FusionBoost, minMatmulPCUs, maxSectionPCUs); b > a.pcus {
 					a.pcus = b
 				}
@@ -236,7 +242,7 @@ func buildO1(spec platform.TrainSpec) ([]section, error) {
 			}
 		}
 		secs = append(secs, section{
-			name: a.key, kind: a.kind,
+			name: a.mod + "." + a.phase.String(), kind: moduleKind(a.mod),
 			pcus: a.pcus, pmus: a.pmus,
 			flops: a.flops / float64(L), ddrBytes: a.traffic / float64(L),
 			invocations: L, ops: rebalanceOps(ops, a.pcus, spec),
@@ -433,9 +439,4 @@ func decoderFwdFLOPsPerToken(cfg model.Config, seq int) float64 {
 		up = 2 * h * f
 	}
 	return 2*(h*h+2*h*h*kvFrac+h*h+up+f*h) + 4*s*h + 5*s*float64(cfg.NumHeads) + 8*f + 12*h
-}
-
-// sortSections gives deterministic ordering for reports.
-func sortSections(secs []section) {
-	slices.SortStableFunc(secs, func(a, b section) int { return strings.Compare(a.name, b.name) })
 }

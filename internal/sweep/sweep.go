@@ -1,8 +1,9 @@
 // Package sweep is the concurrent sweep engine behind every Tier-2
-// analysis and experiment runner: a bounded worker pool that fans a
-// slice of sweep points out over the available cores while keeping the
-// results exactly as ordered — and therefore exactly as rendered — as
-// the serial loops it replaces.
+// analysis and experiment runner. The calling goroutine runs sweep
+// points itself, beside up to workers-1 helper goroutines; each claims
+// its next index from one shared counter and writes the result into
+// that index's slot, so results stay exactly as ordered — and therefore
+// exactly as rendered — as the serial loops the engine replaces.
 //
 // The engine distinguishes two failure classes, mirroring the
 // framework's own semantics:
@@ -10,13 +11,14 @@
 //   - Tolerated errors (by default placement failures, the paper's
 //     "Fail" table entries) are findings: they are recorded in the
 //     point's Outcome and the sweep continues.
-//   - Hard errors (invalid input, simulator bugs) cancel the pool; the
-//     first one observed at the lowest index is returned.
+//   - Hard errors (invalid input, simulator bugs) cancel the sweep, so
+//     no further point starts; the one at the lowest index is returned.
 //
-// The pool size defaults to runtime.GOMAXPROCS(0) and can be overridden
-// per call with Workers or process-wide with SetDefaultWorkers (the
-// CLI's -parallel flag). Setting it to 1 reproduces the serial path
-// bit-for-bit, which the determinism tests assert.
+// The worker count defaults to runtime.GOMAXPROCS(0) and can be
+// overridden per call with Workers or process-wide with
+// SetDefaultWorkers (the CLI's -parallel flag). At 1 no goroutine
+// starts: the caller runs the points in index order, the serial path
+// itself, which the determinism tests compare with parallel runs.
 package sweep
 
 import (
@@ -80,7 +82,8 @@ type options struct {
 	tolerate func(error) bool
 }
 
-// Workers bounds the pool at n concurrent workers for this call.
+// Workers bounds this call at n concurrent workers, the caller
+// included.
 func Workers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -96,19 +99,20 @@ func Tolerating(f func(error) bool) Option {
 	}
 }
 
-// Map applies fn to every item on a bounded worker pool and returns the
-// outcomes in input order. fn receives the item's index alongside the
-// item so callers can pair results with parallel label slices.
+// Map applies fn to every item and returns the outcomes in input order.
+// fn receives the item's index alongside the item so callers can pair
+// results with parallel label slices.
 //
 // A tolerated error (see Tolerating) is stored in that index's Outcome
 // together with whatever partial value fn returned. A hard error
-// cancels the pool's context, stops feeding new items, and is returned
-// once the workers drain; when several workers hit hard errors the one
-// at the lowest index wins, and cancellation fallout (context.Canceled
-// / DeadlineExceeded surfaced by ctx-respecting fns after another
-// worker failed) never outranks a real error — so the reported error
-// does not depend on scheduling. Cancellation of the caller's ctx is
-// returned as ctx.Err() unless a hard error was also observed.
+// cancels the sweep's context, so no further point starts, and is
+// returned once the running points finish; when several points hit
+// hard errors the one at the lowest index wins, and cancellation
+// fallout (context.Canceled / DeadlineExceeded surfaced by
+// ctx-respecting fns after another point failed) never outranks a real
+// error — so the reported error does not depend on scheduling.
+// Cancellation of the caller's ctx is returned as ctx.Err() unless a
+// hard error was also observed.
 func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, i int, item T) (R, error), opts ...Option) ([]Outcome[R], error) {
 	return MapN(ctx, len(items), func(ctx context.Context, i int) (R, error) {
 		return fn(ctx, i, items[i])
@@ -125,13 +129,6 @@ func MapN[R any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.workers < 1 {
-		o.workers = 1
-	}
-	if o.workers > n {
-		o.workers = n
-	}
-
 	out := make([]Outcome[R], n)
 	if n == 0 {
 		return out, ctx.Err()
@@ -142,6 +139,7 @@ func MapN[R any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 	defer cancel()
 
 	var (
+		next      atomic.Int64
 		mu        sync.Mutex
 		firstIdx  = -1
 		firstErr  error
@@ -150,7 +148,7 @@ func MapN[R any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 	fail := func(i int, err error) {
 		mu.Lock()
 		// Cancellation fallout from a ctx-respecting fn must not mask
-		// the root-cause error another worker reported: real errors
+		// the root-cause error another point reported: real errors
 		// always outrank context errors, whatever their indices.
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			if cancelErr == nil {
@@ -162,33 +160,30 @@ func MapN[R any](ctx context.Context, n int, fn func(ctx context.Context, i int)
 		mu.Unlock()
 		cancel()
 	}
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			v, err := fn(ctx, i)
+			if err != nil && !o.tolerate(err) {
+				fail(i, err)
+				return
+			}
+			out[i] = Outcome[R]{Value: v, Err: err}
+		}
+	}
 
-	feed := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < o.workers; w++ {
+	for w := 1; w < min(o.workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range feed {
-				v, err := fn(ctx, i)
-				if err != nil && !o.tolerate(err) {
-					fail(i, err)
-					return
-				}
-				out[i] = Outcome[R]{Value: v, Err: err}
-			}
+			work()
 		}()
 	}
-
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case feed <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(feed)
+	work()
 	wg.Wait()
 
 	if firstErr != nil {

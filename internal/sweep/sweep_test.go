@@ -97,11 +97,54 @@ func TestMapToleratesCompileFailures(t *testing.T) {
 	}
 }
 
+// trackCalls wraps a MapN point function so a test can tell whether
+// any call is in flight, or starts, after MapN has returned.
+type trackCalls struct {
+	active   atomic.Int64
+	returned atomic.Bool
+	late     atomic.Int64
+}
+
+func (c *trackCalls) wrap(fn func(ctx context.Context, i int) (int, error)) func(ctx context.Context, i int) (int, error) {
+	return func(ctx context.Context, i int) (int, error) {
+		if c.returned.Load() {
+			c.late.Add(1)
+		}
+		c.active.Add(1)
+		defer c.active.Add(-1)
+		return fn(ctx, i)
+	}
+}
+
+// checkStopped requires that MapN left nothing running: no call in
+// flight at its return, none started after it, and the goroutine count
+// back to before. A helper that has signalled its WaitGroup may still
+// be exiting for a moment, so the count gets a second to settle.
+func (c *trackCalls) checkStopped(t *testing.T, goroutinesBefore int) {
+	t.Helper()
+	if n := c.active.Load(); n != 0 {
+		t.Errorf("%d calls still running when MapN returned", n)
+	}
+	c.returned.Store(true)
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > goroutinesBefore && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutinesBefore {
+		t.Errorf("%d goroutines after MapN returned, %d before: a helper is still running", n, goroutinesBefore)
+	}
+	if n := c.late.Load(); n != 0 {
+		t.Errorf("%d calls started after MapN returned", n)
+	}
+}
+
 func TestMapHardErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var started atomic.Int64
+	var calls trackCalls
 	items := make([]int, 1000)
-	outs, err := Map(context.Background(), items, func(ctx context.Context, i, _ int) (int, error) {
+	before := runtime.NumGoroutine()
+	point := calls.wrap(func(ctx context.Context, i int) (int, error) {
 		started.Add(1)
 		if i == 3 {
 			return 0, boom
@@ -111,7 +154,11 @@ func TestMapHardErrorCancels(t *testing.T) {
 		case <-time.After(2 * time.Millisecond):
 		}
 		return 0, nil
+	})
+	outs, err := Map(context.Background(), items, func(ctx context.Context, i, _ int) (int, error) {
+		return point(ctx, i)
 	}, Workers(2))
+	calls.checkStopped(t, before)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -119,7 +166,7 @@ func TestMapHardErrorCancels(t *testing.T) {
 		t.Error("failed sweep should return nil outcomes")
 	}
 	if n := started.Load(); n == int64(len(items)) {
-		t.Error("hard error did not stop the dispatcher")
+		t.Error("hard error did not stop the sweep")
 	}
 }
 
@@ -144,11 +191,16 @@ func TestMapContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	items := make([]int, 50)
+	var calls atomic.Int64
 	_, err := Map(ctx, items, func(_ context.Context, _, _ int) (int, error) {
+		calls.Add(1)
 		return 0, nil
 	}, Workers(4))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("fn ran %d times on an already-cancelled context", n)
 	}
 }
 
@@ -161,19 +213,24 @@ func TestMapEmptyAndSerial(t *testing.T) {
 		t.Fatalf("empty sweep: outs=%v err=%v", outs, err)
 	}
 
-	// Workers(1) must visit items strictly in order.
+	// Workers(1) must visit items strictly in order, on the calling
+	// goroutine: no goroutine starts. The count inside fn is compared
+	// with >, not !=, because a goroutine of an earlier test may still
+	// be exiting and can only make it fall.
 	var seen []int
+	before := runtime.NumGoroutine()
 	_, err = Map(context.Background(), []int{5, 6, 7}, func(_ context.Context, i, _ int) (int, error) {
 		seen = append(seen, i)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("point %d ran with %d goroutines, %d before the call: Workers(1) started one", i, n, before)
+		}
 		return 0, nil
 	}, Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range seen {
-		if s != i {
-			t.Fatalf("serial visit order %v", seen)
-		}
+	if !reflect.DeepEqual(seen, []int{0, 1, 2}) {
+		t.Fatalf("serial visit order %v", seen)
 	}
 }
 
@@ -224,7 +281,9 @@ func TestMapNMatchesMap(t *testing.T) {
 
 func TestMapNHardErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := MapN(context.Background(), 64, func(ctx context.Context, i int) (int, error) {
+	var calls trackCalls
+	before := runtime.NumGoroutine()
+	_, err := MapN(context.Background(), 64, calls.wrap(func(ctx context.Context, i int) (int, error) {
 		if i == 3 {
 			return 0, boom
 		}
@@ -234,7 +293,8 @@ func TestMapNHardErrorCancels(t *testing.T) {
 		default:
 			return i, nil
 		}
-	}, Tolerating(nil))
+	}), Tolerating(nil))
+	calls.checkStopped(t, before)
 	if err != boom {
 		t.Errorf("err = %v, want boom", err)
 	}
