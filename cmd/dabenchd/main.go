@@ -17,14 +17,11 @@
 //	         [-stage-log FILE] [-version]
 //
 // Clustering: -peers (with -node-id and -data-dir) joins the daemon to
-// a static fleet. Nodes poll each other's /v1/gossip for health, store
-// gauges and provenance chain tips, and async job chunks shard across
-// live peers (POST /v1/chunks) with local reassignment when an owner
-// fails. /v1/run never asks a peer: a local store miss recomputes,
-// because a compile plus run costs less than a peer round trip on
-// every platform. Every peer call is breaker-guarded and bounded by
-// -peer-timeout (gossip) or the chunk timeout — a dead peer degrades
-// the fleet to single-node behavior, never breaks it. See DESIGN.md
+// a static fleet that shares liveness only: nodes poll each other's
+// /v1/gossip for health, store gauges and provenance chain tips, each
+// probe bounded by -peer-timeout. No request asks a peer: a /v1/run
+// local store miss recomputes and an async job runs every chunk on the
+// node that accepted it, both cheaper than a round trip. See DESIGN.md
 // "Cluster fabric".
 //
 // Observability: GET /metrics renders every internal counter plus
@@ -59,11 +56,11 @@
 // outcome and response bytes as one frame in a content-addressed store
 // under DIR/store (so a restart answers a repeat /v1/run with zero
 // simulation), and async /v1/jobs state is journaled under DIR/jobs
-// (so a restart resumes interrupted jobs). Sweep, job, chunk and
-// scenario points are not persisted: they recompute, because one blob
-// write costs more than recomputing a point on every platform but the
-// RDU. (The CLI's `experiments -data-dir` still mounts the store under
-// its memo tiers.) Without -data-dir everything lives and dies with the
+// (so a restart resumes interrupted jobs). Sweep, job and scenario
+// points are not persisted: they recompute, because one blob write
+// costs more than recomputing a point on every platform but the RDU.
+// (The CLI's `experiments -data-dir` still mounts the store under its
+// memo tiers.) Without -data-dir everything lives and dies with the
 // process.
 //
 // Beyond single runs, sweeps and the paper's experiment artifacts, the
@@ -192,7 +189,7 @@ func run(args []string) error {
 	var fab *cluster.Fabric
 	if *peers != "" {
 		if *nodeID == "" {
-			return errors.New("-peers requires -node-id (every fleet member needs a unique ring name)")
+			return errors.New("-peers requires -node-id (every fleet member needs a unique name)")
 		}
 		if *dataDir == "" {
 			return errors.New("-peers requires -data-dir (gossip reports the store's gauges and the provenance chain tip)")
@@ -255,8 +252,8 @@ func run(args []string) error {
 		}
 		defer st.Close() // flush the write-behind queue on the way out
 		// The store backs /v1/run's byte lane only (server.Config.Store);
-		// the memo tiers stay RAM-only, so sweep, job, chunk and scenario
-		// points recompute instead of paying a blob write each.
+		// the memo tiers stay RAM-only, so sweep, job and scenario points
+		// recompute instead of paying a blob write each.
 		cfg.Store = st
 		cfg.Provenance = prov
 		cfg.JobsDir = filepath.Join(*dataDir, "jobs")

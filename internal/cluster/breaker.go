@@ -12,7 +12,7 @@ import (
 // state check per fetch, never a per-request timeout storm. Peer
 // defaults are tighter than the store's (3 failures, 5s cooldown) —
 // network failures cluster faster than disk failures, and the penalty
-// for a false trip is just a local recompute.
+// for a false trip is just one peer skipped.
 const (
 	breakerClosed = iota
 	breakerOpen
@@ -105,10 +105,4 @@ func (b *breaker) stateName() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return breakerStateNames[b.state]
-}
-
-func (b *breaker) isOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == breakerOpen && time.Since(b.openedAt) < b.cooldown
 }

@@ -1,11 +1,9 @@
-// Package cluster is the multi-node fabric: static peer membership, a
-// pull-based gossip heartbeat, and a consistent-hash ring that places
-// async job chunks across the fleet. A /v1/run never consults a peer:
-// a local store miss recomputes, because on every platform a compile
-// plus run costs less than one peer round trip (DESIGN.md has the
-// numbers). FetchFrame, a client for a peer's GET /v1/blobs/{addr},
-// stays for the benchmark, which times that export; the daemon itself
-// never calls it.
+// Package cluster is the multi-node fabric: static peer membership and
+// a pull-based gossip heartbeat. Fleet nodes share liveness only; no
+// request consults a peer, because a recompute or a local job chunk
+// costs less than the round trip (DESIGN.md has the numbers).
+// FetchFrame, a client for a peer's GET /v1/blobs/{addr}, stays for the
+// benchmark, which times that export; the daemon itself never calls it.
 //
 // Membership is static on purpose: the fabric targets small fleets
 // declared in a compose file or a unit file (-peers id=url,...), where
@@ -15,11 +13,10 @@
 // gauges, and the peer's provenance chain tip (the cross-node tamper
 // anchor `dabench provenance verify -peer` checks).
 //
-// Failure posture mirrors the store's: every peer interaction is an
-// optimization with a local fallback (run the chunk here),
+// Failure posture mirrors the store's: no answer depends on a peer,
 // so peer calls are bounded by a short timeout and a per-peer circuit
 // breaker — a dead node costs a few connection errors, then one state
-// check per request until its breaker's cooldown probes it again.
+// check per fetch until its breaker's cooldown probes it again.
 package cluster
 
 import (
@@ -30,16 +27,18 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"dabench/internal/faults"
 )
 
-// maxPeerBody bounds one peer response read (blob frames and chunk
-// results are at most a few MB; anything larger is a wire error).
+// maxPeerBody bounds one peer response read (blob frames are at most a
+// few MB; anything larger is a wire error).
 const maxPeerBody = 64 << 20
 
 // NodeState is what one node reports about itself in its gossip
@@ -96,7 +95,11 @@ type PeerConfig struct {
 }
 
 // ParsePeers parses the -peers flag form: comma-separated id=url pairs,
-// e.g. "node-b=http://node-b:8080,node-c=http://node-c:8080".
+// e.g. "node-b=http://node-b:8080,node-c=http://node-c:8080". An id has
+// no whitespace. A url is http(s)://host[:port] with an optional path
+// prefix: every peer call appends its endpoint path, so a query or
+// fragment would swallow it and a live peer would read dead. Userinfo
+// is refused too, because peer URLs are echoed in gossip and /v1/stats.
 func ParsePeers(s string) ([]PeerConfig, error) {
 	var out []PeerConfig
 	for _, part := range strings.Split(s, ",") {
@@ -105,12 +108,18 @@ func ParsePeers(s string) ([]PeerConfig, error) {
 			continue
 		}
 		id, rawURL, ok := strings.Cut(part, "=")
-		if !ok || id == "" || rawURL == "" {
-			return nil, fmt.Errorf("cluster: peer %q is not id=url", part)
+		if !ok || id == "" || rawURL == "" || strings.IndexFunc(id, unicode.IsSpace) >= 0 {
+			return nil, fmt.Errorf("cluster: peer %q is not id=url with a space-free id", part)
 		}
 		u, err := url.Parse(rawURL)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("cluster: peer %q: url must be http(s)://host[:port]", part)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Hostname() == "" ||
+			u.User != nil || strings.ContainsAny(rawURL, "?#") {
+			return nil, fmt.Errorf("cluster: peer %q: url must be http(s)://host[:port] with no query or fragment", part)
+		}
+		if port := u.Port(); port != "" || strings.HasSuffix(u.Host, ":") {
+			if n, err := strconv.Atoi(port); err != nil || n < 1 || n > 65535 {
+				return nil, fmt.Errorf("cluster: peer %q: port %q is not in 1-65535", part, port)
+			}
 		}
 		out = append(out, PeerConfig{ID: id, URL: strings.TrimRight(rawURL, "/")})
 	}
@@ -122,7 +131,7 @@ func ParsePeers(s string) ([]PeerConfig, error) {
 
 // Config tunes one Fabric.
 type Config struct {
-	// NodeID is this node's name on the ring (required, unique).
+	// NodeID is this node's name in the fleet (required, unique).
 	NodeID string
 	// SelfURL is the base URL peers can reach this node at; advertised
 	// in gossip, informational otherwise.
@@ -134,9 +143,6 @@ type Config struct {
 	// FetchTimeout bounds one peer HTTP call — a gossip probe or a
 	// FetchFrame request (default 500ms).
 	FetchTimeout time.Duration
-	// ChunkTimeout bounds one remote chunk execution (default 30s —
-	// a chunk is real simulation work, not a byte copy).
-	ChunkTimeout time.Duration
 	// BreakerThreshold / BreakerCooldown tune the per-peer breakers
 	// (defaults 3 and 5s) and the gossip dead-peer threshold.
 	BreakerThreshold int
@@ -165,15 +171,13 @@ type peer struct {
 type Fabric struct {
 	nodeID  string
 	selfURL string
-	ring    *ring
-	peers   []*peer // ring-independent stable order (config order)
+	peers   []*peer // config order
 	byID    map[string]*peer
 	client  *http.Client
 	inj     *faults.Injector
 
 	gossipInterval time.Duration
 	fetchTimeout   time.Duration
-	chunkTimeout   time.Duration
 	deadThreshold  int
 
 	// baseCtx is the fabric's lifecycle root: the gossip probes made on
@@ -183,7 +187,6 @@ type Fabric struct {
 	cancel  context.CancelFunc
 
 	fetchHits, fetchMisses, fetchErrors atomic.Int64
-	remoteChunks, reassignedChunks      atomic.Int64
 	gossipRounds, gossipErrors          atomic.Int64
 
 	startOnce, closeOnce sync.Once
@@ -206,9 +209,6 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = 500 * time.Millisecond
 	}
-	if cfg.ChunkTimeout <= 0 {
-		cfg.ChunkTimeout = 30 * time.Second
-	}
 	threshold := cfg.BreakerThreshold
 	if threshold < 1 {
 		threshold = defaultBreakerThreshold
@@ -221,7 +221,6 @@ func New(cfg Config) (*Fabric, error) {
 		inj:            cfg.Injector,
 		gossipInterval: cfg.GossipInterval,
 		fetchTimeout:   cfg.FetchTimeout,
-		chunkTimeout:   cfg.ChunkTimeout,
 		deadThreshold:  threshold,
 		done:           make(chan struct{}),
 	}
@@ -230,7 +229,6 @@ func New(cfg Config) (*Fabric, error) {
 	if f.client == nil {
 		f.client = &http.Client{}
 	}
-	nodes := []string{cfg.NodeID}
 	for _, pc := range cfg.Peers {
 		if pc.ID == "" || pc.URL == "" {
 			return nil, errors.New("cluster: peer with empty id or url")
@@ -245,13 +243,11 @@ func New(cfg Config) (*Fabric, error) {
 			br: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)}
 		f.peers = append(f.peers, p)
 		f.byID[pc.ID] = p
-		nodes = append(nodes, pc.ID)
 	}
-	f.ring = newRing(nodes, 0)
 	return f, nil
 }
 
-// NodeID returns this node's ring name.
+// NodeID returns this node's name in the fleet.
 func (f *Fabric) NodeID() string {
 	if f == nil {
 		return ""
@@ -424,23 +420,17 @@ func (f *Fabric) PeerTip(peerID string) (tip string, records int64, ok bool) {
 }
 
 // FetchFrame tries to obtain the framed blob at addr from a peer:
-// candidates are walked in the ring's preference order for addr (self
-// skipped), each behind its breaker, each bounded by FetchTimeout. The
-// ring's owner is only the *likeliest* holder — any node that computed
-// the spec has the blob — so a miss at the owner falls through to the
-// remaining peers. Returns the raw frame bytes and the answering peer's
-// ID. Nothing in the daemon calls it; perfbench times the blob export
-// through it.
+// peers are walked in config order, each behind its breaker, each
+// bounded by FetchTimeout. Any node that computed the spec holds the
+// blob, so a miss at one peer falls through to the next. Returns the
+// raw frame bytes and the answering peer's ID. Nothing in the daemon
+// calls it; perfbench times the blob export through it.
 func (f *Fabric) FetchFrame(ctx context.Context, addr string) ([]byte, string, bool) {
 	if f == nil {
 		return nil, "", false
 	}
 	tried := false
-	for _, nodeID := range f.ring.owners("blob\x00" + addr) {
-		if nodeID == f.nodeID {
-			continue
-		}
-		p := f.byID[nodeID]
+	for _, p := range f.peers {
 		if !p.br.allow() {
 			continue
 		}
@@ -503,111 +493,11 @@ func (f *Fabric) fetchBlob(ctx context.Context, p *peer, addr string) ([]byte, e
 	return data, nil
 }
 
-// ChunkNodes returns the node IDs a job's chunk should prefer, self
-// included: the ring's preference order for the job key, rotated by the
-// chunk index so consecutive chunks of one job land on different nodes
-// (round-robin sharding with a deterministic, job-stable assignment).
-func (f *Fabric) ChunkNodes(jobKey string, chunk int) []string {
-	if f == nil {
-		return nil
-	}
-	nodes := f.ring.owners("job\x00" + jobKey)
-	if len(nodes) == 0 {
-		return nil
-	}
-	rot := chunk % len(nodes)
-	out := make([]string, 0, len(nodes))
-	out = append(out, nodes[rot:]...)
-	out = append(out, nodes[:rot]...)
-	return out
-}
-
-// ChunkEligible reports whether a remote peer should be offered a
-// chunk: its breaker must admit traffic and gossip must not have
-// declared it dead. (FetchFrame only consults the breaker — a fetch
-// costs a connection attempt; a chunk dispatch wastes a whole timeout.)
-func (f *Fabric) ChunkEligible(peerID string) bool {
-	if f == nil {
-		return false
-	}
-	p, ok := f.byID[peerID]
-	if !ok {
-		return false
-	}
-	p.mu.Lock()
-	dead := p.gossipFails >= f.deadThreshold
-	p.mu.Unlock()
-	return !dead && !p.br.isOpen()
-}
-
-// ExecuteChunk POSTs one chunk execution request to peerID and returns
-// the response body (the peer's ChunkResponse JSON). Any transport or
-// HTTP failure feeds the peer's breaker and returns an error — the
-// caller reassigns the chunk locally.
-func (f *Fabric) ExecuteChunk(ctx context.Context, peerID string, body []byte) ([]byte, error) {
-	if f == nil {
-		return nil, errors.New("cluster: no fabric")
-	}
-	p, ok := f.byID[peerID]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown peer %q", peerID)
-	}
-	if !p.br.allow() {
-		return nil, fmt.Errorf("cluster: peer %s breaker is open", peerID)
-	}
-	data, err := f.executeChunk(ctx, p, body)
-	if err != nil {
-		p.br.failure()
-		return nil, err
-	}
-	p.br.success()
-	f.remoteChunks.Add(1)
-	return data, nil
-}
-
-func (f *Fabric) executeChunk(ctx context.Context, p *peer, body []byte) ([]byte, error) {
-	if err := f.inj.Fire(faults.OpPeerFetch); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, f.chunkTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+"/v1/chunks", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: chunk on %s answered %s", p.id, resp.Status)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(data) > maxPeerBody {
-		return nil, fmt.Errorf("cluster: chunk result from %s exceeds the %d-byte bound", p.id, maxPeerBody)
-	}
-	return data, nil
-}
-
-// NoteReassigned counts one chunk that fell back to local execution
-// after its remote owner failed.
-func (f *Fabric) NoteReassigned() {
-	if f != nil {
-		f.reassignedChunks.Add(1)
-	}
-}
-
 // Stats is the fabric's /v1/stats wire form. The counter names mirror
 // the /metrics families one to one.
 type Stats struct {
 	NodeID     string `json:"node_id"`
 	SelfURL    string `json:"self_url,omitempty"`
-	RingNodes  int    `json:"ring_nodes"`
 	PeersAlive int    `json:"peers_alive"`
 	PeersDead  int    `json:"peers_dead"`
 	// FetchFrame counters: hits found the blob on a peer, misses found
@@ -616,9 +506,6 @@ type Stats struct {
 	PeerFetchHits   int64 `json:"peer_fetch_hits"`
 	PeerFetchMisses int64 `json:"peer_fetch_misses"`
 	PeerFetchErrors int64 `json:"peer_fetch_errors"`
-	// Job sharding counters.
-	RemoteChunks     int64 `json:"remote_chunks"`
-	ReassignedChunks int64 `json:"reassigned_chunks"`
 	// Gossip counters.
 	GossipRounds int64      `json:"gossip_rounds"`
 	GossipErrors int64      `json:"gossip_errors"`
@@ -631,19 +518,14 @@ func (f *Fabric) Stats() *Stats {
 		return nil
 	}
 	st := &Stats{
-		NodeID:  f.nodeID,
-		SelfURL: f.selfURL,
-		// ring nodes = peers + self; the ring is immutable so the count
-		// is exact, not gossip-derived.
-		RingNodes:        f.ring.nodes,
-		PeerFetchHits:    f.fetchHits.Load(),
-		PeerFetchMisses:  f.fetchMisses.Load(),
-		PeerFetchErrors:  f.fetchErrors.Load(),
-		RemoteChunks:     f.remoteChunks.Load(),
-		ReassignedChunks: f.reassignedChunks.Load(),
-		GossipRounds:     f.gossipRounds.Load(),
-		GossipErrors:     f.gossipErrors.Load(),
-		Peers:            f.Peers(),
+		NodeID:          f.nodeID,
+		SelfURL:         f.selfURL,
+		PeerFetchHits:   f.fetchHits.Load(),
+		PeerFetchMisses: f.fetchMisses.Load(),
+		PeerFetchErrors: f.fetchErrors.Load(),
+		GossipRounds:    f.gossipRounds.Load(),
+		GossipErrors:    f.gossipErrors.Load(),
+		Peers:           f.Peers(),
 	}
 	for _, v := range st.Peers {
 		switch v.State {

@@ -4,19 +4,19 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestParsePeers(t *testing.T) {
-	got, err := ParsePeers("node-b=http://node-b:8080, node-c=https://node-c:8080/")
+	got, err := ParsePeers("node-b=http://node-b:8080, node-c=https://node-c:8080/, node-d=http://[::1]:9/dabench/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != (PeerConfig{ID: "node-b", URL: "http://node-b:8080"}) ||
-		got[1] != (PeerConfig{ID: "node-c", URL: "https://node-c:8080"}) {
+	if len(got) != 3 || got[0] != (PeerConfig{ID: "node-b", URL: "http://node-b:8080"}) ||
+		got[1] != (PeerConfig{ID: "node-c", URL: "https://node-c:8080"}) ||
+		got[2] != (PeerConfig{ID: "node-d", URL: "http://[::1]:9/dabench"}) {
 		t.Errorf("ParsePeers = %+v", got)
 	}
 	for _, bad := range []string{
@@ -28,6 +28,15 @@ func TestParsePeers(t *testing.T) {
 		"node-b=ftp://x",              // wrong scheme
 		"node-b=http://",              // no host
 		"node-b=http://ok,node-c=not", // one bad pair poisons the set
+		"b=http://h:1?x=1",            // a query swallows every endpoint path
+		"b=http://h:1#f",              // so does a fragment
+		"b=http://h:1?",               // an empty query still does
+		"b=http://:0",                 // empty hostname
+		"b=http://h:99999",            // port out of range
+		"b=http://h:0",                // port out of range
+		"b=http://h:",                 // colon with no port
+		"b=http://u:p@h:1",            // userinfo would be echoed in gossip
+		"b =http://h:1",               // id with whitespace
 	} {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Errorf("ParsePeers(%q) accepted, want error", bad)
@@ -50,72 +59,6 @@ func TestNewValidatesMembership(t *testing.T) {
 	}
 	if _, err := New(Config{NodeID: "a", Peers: peers}); err != nil {
 		t.Errorf("valid membership rejected: %v", err)
-	}
-}
-
-// TestRingOwnersDeterministicAndComplete: every key resolves to all
-// distinct nodes exactly once, in a stable order, and primary ownership
-// spreads across the membership.
-func TestRingOwnersDeterministicAndComplete(t *testing.T) {
-	r := newRing([]string{"a", "b", "c"}, 0)
-	primaries := map[string]int{}
-	for i := 0; i < 200; i++ {
-		key := "blob\x00key-" + strconv.Itoa(i)
-		first := r.owners(key)
-		if len(first) != 3 {
-			t.Fatalf("owners(%q) = %v, want all 3 nodes", key, first)
-		}
-		seen := map[string]bool{}
-		for _, n := range first {
-			if seen[n] {
-				t.Fatalf("owners(%q) repeats %q", key, n)
-			}
-			seen[n] = true
-		}
-		second := r.owners(key)
-		for j := range first {
-			if first[j] != second[j] {
-				t.Fatalf("owners(%q) not deterministic: %v vs %v", key, first, second)
-			}
-		}
-		primaries[first[0]]++
-	}
-	for _, n := range []string{"a", "b", "c"} {
-		if primaries[n] == 0 {
-			t.Errorf("node %s is never a primary owner over 200 keys: %v", n, primaries)
-		}
-	}
-}
-
-// TestChunkNodesRotation: consecutive chunks of one job cycle through
-// the ring's owner list, so a multi-chunk job always spreads.
-func TestChunkNodesRotation(t *testing.T) {
-	f, err := New(Config{NodeID: "a", Peers: []PeerConfig{
-		{ID: "b", URL: "http://b"}, {ID: "c", URL: "http://c"},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := f.ChunkNodes("job-1", 0)
-	if len(base) != 3 {
-		t.Fatalf("ChunkNodes = %v, want 3 nodes", base)
-	}
-	for chunk := 0; chunk < 6; chunk++ {
-		got := f.ChunkNodes("job-1", chunk)
-		rot := chunk % 3
-		for j := range got {
-			if got[j] != base[(rot+j)%3] {
-				t.Fatalf("chunk %d: ChunkNodes = %v, want rotation %d of %v", chunk, got, rot, base)
-			}
-		}
-	}
-	// Across any 3 consecutive chunks every node leads exactly once.
-	leads := map[string]bool{}
-	for chunk := 0; chunk < 3; chunk++ {
-		leads[f.ChunkNodes("job-1", chunk)[0]] = true
-	}
-	if len(leads) != 3 {
-		t.Errorf("3 consecutive chunks led by %v, want all 3 nodes", leads)
 	}
 }
 
@@ -209,9 +152,8 @@ func TestGossipLiveness(t *testing.T) {
 	}
 }
 
-// TestFetchFrameFansOutPastMisses: a clean 404 at the ring's preferred
-// peer is a healthy miss — the fetch continues to the next peer and
-// still hits.
+// TestFetchFrameFansOutPastMisses: a clean 404 at one peer is a
+// healthy miss — the fetch continues to the next peer and still hits.
 func TestFetchFrameFansOutPastMisses(t *testing.T) {
 	addr := strings.Repeat("ab", 32)
 	missing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -264,15 +206,11 @@ func TestNilFabricIsSingleNode(t *testing.T) {
 	f.Start()
 	f.Close()
 	f.GossipOnce(context.Background())
-	f.NoteReassigned()
 	if f.Stats() != nil || f.Peers() != nil || f.NodeID() != "" || f.SelfURL() != "" {
 		t.Error("nil fabric leaked state")
 	}
 	if _, _, ok := f.FetchFrame(context.Background(), strings.Repeat("ab", 32)); ok {
 		t.Error("nil fabric fetched")
-	}
-	if f.ChunkNodes("k", 0) != nil || f.ChunkEligible("b") {
-		t.Error("nil fabric offered chunks")
 	}
 	if _, _, ok := f.PeerTip("b"); ok {
 		t.Error("nil fabric had a peer tip")

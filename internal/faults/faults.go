@@ -54,7 +54,7 @@ const (
 	OpJournalSync   Op = "journal.sync"   // job-journal fsync
 	OpCompile       Op = "compile"        // one platform compile
 	OpChunkRun      Op = "chunk.run"      // one async-job chunk execution
-	OpPeerFetch     Op = "peer.fetch"     // one cluster peer blob/chunk HTTP call
+	OpPeerFetch     Op = "peer.fetch"     // one cluster peer HTTP call (gossip probe or blob fetch)
 )
 
 var validOps = map[Op]bool{

@@ -70,11 +70,9 @@ type Config struct {
 	// Dir is the journal/results directory. "" runs ephemeral: full
 	// lifecycle, no durability.
 	Dir string
-	// Run executes a job's request (required).
+	// Run executes a job's request (required). One job runs at a time:
+	// jobs are batch work sharing the machine with interactive sweeps.
 	Run RunFunc
-	// Workers is the number of concurrently executing jobs (default 1:
-	// jobs are batch work sharing the machine with interactive sweeps).
-	Workers int
 	// QueueDepth bounds accepted-but-unstarted jobs (default 1024);
 	// past it Submit returns ErrQueueFull.
 	QueueDepth int
@@ -157,7 +155,7 @@ type Gauges struct {
 	Journal *JournalHealth `json:"journal,omitempty"`
 }
 
-// Manager owns the job table, the journal and the background workers.
+// Manager owns the job table, the journal and the background worker.
 // Create with Open.
 type Manager struct {
 	cfg     Config
@@ -192,9 +190,6 @@ type Manager struct {
 func Open(cfg Config) (*Manager, error) {
 	if cfg.Run == nil {
 		return nil, errors.New("jobs: Config.Run is required")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
@@ -234,10 +229,8 @@ func Open(cfg Config) (*Manager, error) {
 		m.queue <- j
 	}
 
-	for w := 0; w < cfg.Workers; w++ {
-		m.wg.Add(1)
-		go m.worker()
-	}
+	m.wg.Add(1)
+	go m.worker()
 	return m, nil
 }
 
@@ -249,7 +242,7 @@ func (m *Manager) resultPath(id string) string {
 
 // replay rebuilds the job table from the journal, returning the jobs
 // to revive (queued or running at the previous death). Called before
-// the journal reopens for append and before workers start.
+// the journal reopens for append and before the worker starts.
 func (m *Manager) replay() ([]*job, error) {
 	recs, torn, err := readJournal(filepath.Join(m.cfg.Dir, "journal.jsonl"))
 	if err != nil {
@@ -364,7 +357,7 @@ func (m *Manager) Submit(req json.RawMessage, points int) (View, error) {
 		created: time.Now().UTC(),
 		request: req,
 	}
-	// Enqueue before registering: workers never take mu to receive, so
+	// Enqueue before registering: the worker never takes mu to receive, so
 	// the buffered send cannot block, and a full queue rejects the job
 	// with no state to unwind.
 	select {

@@ -198,7 +198,7 @@ func TestAcknowledgedCancelWinsOverSuccess(t *testing.T) {
 
 func TestCancelQueuedJob(t *testing.T) {
 	gate := make(chan struct{})
-	m, err := Open(Config{Dir: t.TempDir(), Workers: 1,
+	m, err := Open(Config{Dir: t.TempDir(),
 		Run: func(ctx context.Context, _ json.RawMessage, _ func(int, int)) (json.RawMessage, error) {
 			<-gate
 			return json.RawMessage(`{}`), nil
@@ -452,7 +452,7 @@ func TestReplayDropsDuplicateSubmission(t *testing.T) {
 // jobs queue, start and cancel.
 func TestQueuedGaugeTracksLifecycle(t *testing.T) {
 	gate := make(chan struct{})
-	m, err := Open(Config{QueueDepth: 8, Workers: 1,
+	m, err := Open(Config{QueueDepth: 8,
 		Run: func(ctx context.Context, _ json.RawMessage, _ func(int, int)) (json.RawMessage, error) {
 			<-gate
 			return json.RawMessage(`{}`), nil
@@ -497,7 +497,7 @@ func TestQueuedGaugeTracksLifecycle(t *testing.T) {
 
 func TestQueueFull(t *testing.T) {
 	gate := make(chan struct{})
-	m, err := Open(Config{QueueDepth: 1, Workers: 1,
+	m, err := Open(Config{QueueDepth: 1,
 		Run: func(ctx context.Context, _ json.RawMessage, _ func(int, int)) (json.RawMessage, error) {
 			<-gate
 			return json.RawMessage(`{}`), nil

@@ -64,7 +64,7 @@ func newFleet(t *testing.T, n int, inj *faults.Injector) []*fleetNode {
 		}
 		fab, err := cluster.New(cluster.Config{
 			NodeID: nd.id, SelfURL: nd.ts.URL, Peers: peers,
-			FetchTimeout: 2 * time.Second, ChunkTimeout: 30 * time.Second,
+			FetchTimeout:     2 * time.Second,
 			BreakerThreshold: 2, BreakerCooldown: time.Minute,
 			Injector: inj,
 		})
@@ -118,8 +118,8 @@ func TestClusterWarmServeFromPeer(t *testing.T) {
 	if st.Cluster == nil {
 		t.Fatal("/v1/stats on a fleet node has no cluster section")
 	}
-	if st.Cluster.NodeID != "node-b" || st.Cluster.RingNodes != 3 {
-		t.Errorf("cluster identity = %s over %d ring nodes", st.Cluster.NodeID, st.Cluster.RingNodes)
+	if st.Cluster.NodeID != "node-b" || len(st.Cluster.Peers) != 2 {
+		t.Errorf("cluster identity = %s with %d peers, want node-b with 2", st.Cluster.NodeID, len(st.Cluster.Peers))
 	}
 	if n := st.Cluster.PeerFetchHits + st.Cluster.PeerFetchMisses + st.Cluster.PeerFetchErrors; n != 0 {
 		t.Errorf("node B made %d peer fetches (hits %d, misses %d, errors %d), want 0",
@@ -228,8 +228,7 @@ func TestClusterBlobEndpointRejectsMalformedAddrs(t *testing.T) {
 // 200 with the bytes a single node serves. It never touches the
 // fabric, so no fetch error is counted and the breaker stays closed
 // after each cold spec. Breaker trips are covered where peer calls
-// remain: TestBreakerTripProbeRecover (internal/cluster) and
-// TestJobReassignsChunksFromDeadPeer.
+// remain: TestBreakerTripProbeRecover (internal/cluster).
 func TestClusterDegradedFabricFallsBack(t *testing.T) {
 	bodies := []string{warmRunBody, `{"platform":"wse","model":"gpt2-small","batch":128,"seq":1024}`}
 	experiments.ResetCaches()
@@ -352,10 +351,9 @@ func TestClusterGossipAnchorsChainTips(t *testing.T) {
 	}
 }
 
-// shardJobBody is a 512-point sweep: exactly two jobChunk-sized chunks,
-// so a two-node fleet deterministically dispatches one chunk remotely
-// (the rotation gives each node the lead for one chunk).
-func shardJobBody() string {
+// twoChunkJobBody is a 512-point sweep: exactly two jobChunk-sized
+// chunks, so a fleet that sharded jobs would have sent one to a peer.
+func twoChunkJobBody() string {
 	var lc, bt []string
 	for i := 1; i <= 32; i++ {
 		lc = append(lc, strconv.Itoa(i))
@@ -389,82 +387,30 @@ func runJobToBytes(t *testing.T, ts *httptest.Server, body string) []byte {
 	return out
 }
 
-// TestJobShardsChunksAcrossPeers pins the sharding half of the
-// tentpole: a multi-chunk job on a fleet coordinator executes at least
-// one chunk on a peer, and the assembled result is byte-identical to a
-// single-node run of the same job.
-func TestJobShardsChunksAcrossPeers(t *testing.T) {
+// TestClusterJobRunsLocally pins where a fleet node runs an async job:
+// every chunk on itself. The job manager runs one job at a time, so a
+// chunk sent to a peer would only wait out a round trip. A two-chunk
+// job on a peered node returns the standalone node's bytes, the peer
+// serves no request, and the peer has no chunk endpoint to serve.
+func TestClusterJobRunsLocally(t *testing.T) {
 	experiments.ResetCaches()
 	standalone := newTestServer(t, Config{})
-	want := runJobToBytes(t, standalone, shardJobBody())
-
-	nodes := newFleet(t, 2, nil)
-	a := nodes[0]
-	got := runJobToBytes(t, a.ts, shardJobBody())
-	if !bytes.Equal(want, got) {
-		t.Errorf("sharded job result diverged from single-node (%d vs %d bytes)", len(want), len(got))
-	}
-	st := a.fab.Stats()
-	if st.RemoteChunks < 1 {
-		t.Errorf("remote chunks = %d, want >= 1 (one of two chunks must rotate to the peer)", st.RemoteChunks)
-	}
-	if v := metricValue(t, scrapeMetrics(t, a.ts), "dabench_job_chunks_remote_total"); v < 1 {
-		t.Errorf("dabench_job_chunks_remote_total = %v, want >= 1", v)
-	}
-}
-
-// TestJobReassignsChunksFromDeadPeer: with the peer gone, the remote
-// dispatch fails, the chunk reassigns to local execution, and the job
-// still finishes with the correct result.
-func TestJobReassignsChunksFromDeadPeer(t *testing.T) {
-	experiments.ResetCaches()
-	standalone := newTestServer(t, Config{})
-	want := runJobToBytes(t, standalone, shardJobBody())
+	want := runJobToBytes(t, standalone, twoChunkJobBody())
 
 	nodes := newFleet(t, 2, nil)
 	a, b := nodes[0], nodes[1]
-	b.ts.Close() // the peer vanishes before the job arrives
-
-	got := runJobToBytes(t, a.ts, shardJobBody())
+	got := runJobToBytes(t, a.ts, twoChunkJobBody())
 	if !bytes.Equal(want, got) {
-		t.Errorf("reassigned job result diverged from single-node (%d vs %d bytes)", len(want), len(got))
+		t.Errorf("fleet job result diverged from single-node (%d vs %d bytes)", len(want), len(got))
 	}
-	st := a.fab.Stats()
-	if st.ReassignedChunks < 1 {
-		t.Errorf("reassigned chunks = %d, want >= 1", st.ReassignedChunks)
+	var st Stats
+	getJSON(t, b.ts.URL+"/v1/stats", &st)
+	if st.Served != 0 {
+		t.Errorf("peer served %d requests during node A's job, want 0", st.Served)
 	}
-	if st.RemoteChunks != 0 {
-		t.Errorf("remote chunks = %d against a dead peer, want 0", st.RemoteChunks)
-	}
-}
-
-// TestChunkEndpointValidatesRanges: the remote-execution endpoint
-// rejects ranges outside the sweep and oversized chunks.
-func TestChunkEndpointValidatesRanges(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	sweepBody := `{"platform":"wse","model":"gpt2-small","layer_counts":[2,4],"batches":[256]}`
-	cases := []string{
-		`{"request":` + sweepBody + `,"start":-1,"end":1}`,
-		`{"request":` + sweepBody + `,"start":1,"end":1}`,
-		`{"request":` + sweepBody + `,"start":0,"end":3}`,
-		`{"request":` + sweepBody + `,"start":0,"end":` + strconv.Itoa(jobChunk+1) + `}`,
-	}
-	for _, body := range cases {
-		resp, b := postJSON(t, ts.URL+"/v1/chunks", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("chunk %s = %d (%s), want 400", body, resp.StatusCode, b)
-		}
-	}
-	// A valid range executes and labels its outcomes.
-	resp, b := postJSON(t, ts.URL+"/v1/chunks", `{"request":`+sweepBody+`,"start":0,"end":2}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("valid chunk = %d: %s", resp.StatusCode, b)
-	}
-	var cr ChunkResponse
-	if err := json.Unmarshal(b, &cr); err != nil {
-		t.Fatal(err)
-	}
-	if len(cr.Results) != 2 || cr.Results[0].Label == "" {
-		t.Errorf("chunk response = %+v, want 2 labeled results", cr)
+	resp, body := postJSON(t, b.ts.URL+"/v1/chunks",
+		`{"request":{"platform":"wse","model":"gpt2-small","layer_counts":[2]},"start":0,"end":1}`)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/chunks = %d (%s), want 404", resp.StatusCode, body)
 	}
 }

@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -272,8 +270,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // the background pool, chunk by chunk. Each chunk re-derives its specs
 // from the axes (the full product is never materialized), fans out on
 // sweep.MapN with the dedicated job pool size, and reports cumulative
-// progress. The assembled result is encoded exactly as the synchronous
-// sweep handler encodes its response.
+// progress. Every chunk runs on this node, fleet or not: the manager
+// runs one job at a time, so a chunk shipped to a peer would only add a
+// round trip to it. The assembled result is encoded exactly as the
+// synchronous sweep handler encodes its response.
 func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(done, failed int)) (json.RawMessage, error) {
 	// Scenario jobs are journaled inside a kind-marked envelope; bare
 	// bodies are the original sweep vocabulary. A sweep request can
@@ -298,28 +298,10 @@ func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(
 		return nil, fmt.Errorf("job of %d points exceeds the job cap of %d", n, s.cfg.MaxJobPoints)
 	}
 
-	// With a fabric attached, chunks shard across the fleet: the job key
-	// (a digest of the raw body — journal-stable, so a replayed job
-	// shards identically) places the job on the ring, and the rotation in
-	// ChunkNodes spreads consecutive chunks across its owners. The raw
-	// body travels with each dispatch so the remote node re-derives the
-	// same axes this node validated.
-	var jobKey string
-	if s.cluster() != nil {
-		sum := sha256.Sum256(raw)
-		jobKey = hex.EncodeToString(sum[:])
-	}
-
 	resp := SweepResponse{Platform: a.p.Name(), Points: n}
 	resp.Results = make([]RunResult, 0, n)
 	for lo := 0; lo < n; lo += jobChunk {
 		hi := min(lo+jobChunk, n)
-		if rr, ok := s.runRemoteChunk(ctx, jobKey, raw, lo/jobChunk, lo, hi); ok {
-			resp.Results = append(resp.Results, rr.Results...)
-			resp.Failed += rr.Failed
-			progress(hi, resp.Failed)
-			continue
-		}
 		outs, attempts, err := s.runChunk(ctx, a, lo, hi)
 		if err != nil {
 			if ctx.Err() != nil || specRejected(err) {
@@ -365,54 +347,4 @@ func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// runRemoteChunk offers chunk [lo, hi) to its ring-assigned owner when
-// that owner is a live remote peer. Only the rotation's first choice is
-// consulted: when it is this node, the chunk is local by assignment (no
-// reassignment counted); when it is a dead or breaker-open peer, or the
-// dispatch fails, the chunk is reassigned to local execution — the same
-// recompute fallback every other peer interaction has. The peer's
-// ChunkResponse carries fully-labeled results produced by the exact
-// code path the local chunk loop runs, so sharded job results stay
-// byte-identical to single-node ones.
-func (s *Server) runRemoteChunk(ctx context.Context, jobKey string, raw json.RawMessage, chunk, lo, hi int) (ChunkResponse, bool) {
-	f := s.cluster()
-	if f == nil {
-		return ChunkResponse{}, false
-	}
-	nodes := f.ChunkNodes(jobKey, chunk)
-	if len(nodes) == 0 || nodes[0] == f.NodeID() {
-		return ChunkResponse{}, false
-	}
-	owner := nodes[0]
-	if !f.ChunkEligible(owner) {
-		f.NoteReassigned()
-		return ChunkResponse{}, false
-	}
-	// Assemble the wire body around the raw journaled bytes — no
-	// re-marshal of the request, so the remote decodes exactly what this
-	// node validated.
-	body := make([]byte, 0, len(raw)+64)
-	body = append(body, `{"request":`...)
-	body = append(body, raw...)
-	body = append(body, `,"start":`...)
-	body = strconv.AppendInt(body, int64(lo), 10)
-	body = append(body, `,"end":`...)
-	body = strconv.AppendInt(body, int64(hi), 10)
-	body = append(body, '}')
-	data, err := f.ExecuteChunk(ctx, owner, body)
-	if err != nil {
-		f.NoteReassigned()
-		return ChunkResponse{}, false
-	}
-	var rr ChunkResponse
-	if err := json.Unmarshal(data, &rr); err != nil || len(rr.Results) != hi-lo {
-		// A peer answer that does not decode to exactly this range is
-		// discarded, not patched: recomputing locally is cheap and always
-		// right.
-		f.NoteReassigned()
-		return ChunkResponse{}, false
-	}
-	return rr, true
 }

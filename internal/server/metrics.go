@@ -185,25 +185,18 @@ func (s *Server) collect(e *telemetry.Exposition) {
 	// node — so the exposition shape is identical with and without a
 	// fabric (dashboards and the golden test never depend on topology).
 	cs := s.cluster().Stats()
-	var alive, dead, ringNodes float64
+	var alive, dead float64
 	var fetchHits, fetchMisses, fetchErrors float64
-	var remoteChunks, reassigned float64
 	if cs != nil {
 		alive, dead = float64(cs.PeersAlive), float64(cs.PeersDead)
-		ringNodes = float64(cs.RingNodes)
 		fetchHits, fetchMisses = float64(cs.PeerFetchHits), float64(cs.PeerFetchMisses)
 		fetchErrors = float64(cs.PeerFetchErrors)
-		remoteChunks, reassigned = float64(cs.RemoteChunks), float64(cs.ReassignedChunks)
 	}
 	e.Gauge("dabench_cluster_peers", "Peers by liveness state.", alive, lbl("state", "alive"))
 	e.Gauge("dabench_cluster_peers", "Peers by liveness state.", dead, lbl("state", "dead"))
-	e.Gauge("dabench_cluster_ring_nodes", "Nodes on the consistent-hash ring, including this one (0 = no fabric).",
-		ringNodes)
 	e.Counter("dabench_peer_fetch_hits_total", "Peer-fetch rounds answered by a peer's blob export.", fetchHits)
 	e.Counter("dabench_peer_fetch_misses_total", "Peer-fetch rounds that found the blob on no reachable peer.", fetchMisses)
 	e.Counter("dabench_peer_fetch_errors_total", "Peer-fetch calls that failed in transport.", fetchErrors)
-	e.Counter("dabench_job_chunks_remote_total", "Job chunks executed on a peer via the ring.", remoteChunks)
-	e.Counter("dabench_job_chunks_reassigned_total", "Job chunks reassigned to local execution after owner failure.", reassigned)
 
 	if fs := s.cfg.Injector.Stats(); fs != nil {
 		e.Counter("dabench_faults_fired_total", "Injected faults fired across all rules.", float64(fs.Fired))

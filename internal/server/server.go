@@ -76,8 +76,7 @@ type Config struct {
 	// Store is the persistent result store behind /v1/run's byte lane:
 	// a cold run persists its outcome and response bytes there as one
 	// frame, and a repeat after a restart is served from it. Sweeps,
-	// jobs, chunks and scenarios never touch it. Nil when serving
-	// RAM-only.
+	// jobs and scenarios never touch it. Nil when serving RAM-only.
 	Store *store.Store
 
 	// JobsDir is the job journal/results directory; "" runs the job
@@ -107,10 +106,10 @@ type Config struct {
 	// no data dir — disables the endpoint.
 	Provenance *provenance.Log
 
-	// Cluster is the multi-node fabric (nil = single node): gossip, the
-	// cluster sections of /v1/stats, /metrics and /healthz, and job
-	// chunk sharding. It never reaches /v1/run, which reads only Store
-	// and recomputes on a miss.
+	// Cluster is the multi-node fabric (nil = single node): gossip and
+	// the cluster sections of /v1/stats, /metrics and /healthz. No
+	// request path consults it: /v1/run reads only Store and recomputes
+	// on a miss, and async jobs run every chunk on this node.
 	Cluster *cluster.Fabric
 	// StageLogPath, when set, appends one CSV row of per-stage timings
 	// for every served request (the flight-recorder complement to the
@@ -173,8 +172,8 @@ type Stats struct {
 	ChunksQuarantined int64         `json:"chunks_quarantined,omitempty"`
 	Faults            *faults.Stats `json:"faults,omitempty"`
 	// Cluster is the fabric's snapshot (absent on a single node):
-	// peer liveness views, FetchFrame counters (0 on a serving daemon),
-	// chunk sharding counters.
+	// peer liveness views and FetchFrame counters (0 on a serving
+	// daemon).
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
 
@@ -277,7 +276,6 @@ func New(cfg Config) (*Server, error) {
 	// single node so a fleet can form around a node that booted first.
 	s.mux.HandleFunc("GET /v1/gossip", s.handleGossip)
 	s.mux.HandleFunc("GET /v1/blobs/{addr}", s.handleBlob)
-	s.mux.HandleFunc("POST /v1/chunks", s.handleChunk)
 	// The warm-path endpoints manage admission inline: their ETag/304
 	// and response-byte fast lanes answer repeat requests before ever
 	// claiming a simulation slot, so only the compute path is gated.
@@ -432,14 +430,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 	// The cluster component only exists with a fabric attached; a
 	// single-node /healthz body is unchanged. Dead peers degrade this
-	// node's health honestly — it still serves everything, and runs the
-	// job chunks they would have taken itself.
+	// node's health honestly, though it still serves everything itself.
 	if cs := s.cluster().Stats(); cs != nil {
 		clusterHealth := componentHealth{Status: "ok",
-			Detail: strconv.Itoa(cs.PeersAlive) + "/" + strconv.Itoa(cs.RingNodes-1) + " peers alive"}
+			Detail: strconv.Itoa(cs.PeersAlive) + "/" + strconv.Itoa(len(cs.Peers)) + " peers alive"}
 		if cs.PeersDead > 0 {
 			clusterHealth.Status = "degraded"
-			clusterHealth.Detail = strconv.Itoa(cs.PeersDead) + " peer(s) unreachable; their job chunks run locally"
+			clusterHealth.Detail = strconv.Itoa(cs.PeersDead) + " peer(s) unreachable"
 		}
 		resp.Components["cluster"] = clusterHealth
 	}
