@@ -39,7 +39,6 @@ import (
 	"dabench/internal/cluster"
 	"dabench/internal/core"
 	"dabench/internal/experiments"
-	"dabench/internal/faults"
 	"dabench/internal/model"
 	"dabench/internal/platform"
 	"dabench/internal/precision"
@@ -99,19 +98,12 @@ func runExperiments(args []string) error {
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	dataDir := fs.String("data-dir", "", "persistent result-store directory (share it with dabenchd's -data-dir to reuse its results)")
 	storeBudget := fs.Int64("store-budget", 256<<20, "result-store on-disk byte budget (LRU eviction; <= 0 = unbounded)")
-	faultSpec := fs.String("fault-spec", "", "fault-injection spec: inline JSON or a file path (requires -allow-faults)")
-	allowFaults := fs.Bool("allow-faults", false, "acknowledge that -fault-spec deliberately injects failures")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *parallel < 1 || *parallel > sweep.MaxWorkers {
 		return fmt.Errorf("-parallel must be in [1, %d], got %d", sweep.MaxWorkers, *parallel)
 	}
-	inj, unarm, err := armFaults(*faultSpec, *allowFaults)
-	if err != nil {
-		return err
-	}
-	defer unarm()
 	if *traceOut != "" {
 		if fi, err := os.Stat(*traceOut); err == nil && fi.IsDir() {
 			return fmt.Errorf("-trace %q is a directory, want a file path", *traceOut)
@@ -145,7 +137,7 @@ func runExperiments(args []string) error {
 	}
 	sweep.SetDefaultWorkers(*parallel)
 	defer sweep.SetDefaultWorkers(0)
-	st, unmount, err := mountStore(*dataDir, *storeBudget, inj)
+	st, unmount, err := mountStore(*dataDir, *storeBudget)
 	if err != nil {
 		return err
 	}
@@ -220,7 +212,7 @@ func runExperiments(args []string) error {
 // maintains, so mixed CLI/daemon histories verify as one chain.
 // The cleanup unmounts and flushes; it is safe to call when no store
 // was mounted.
-func mountStore(dataDir string, budget int64, inj *faults.Injector) (*store.Store, func(), error) {
+func mountStore(dataDir string, budget int64) (*store.Store, func(), error) {
 	if dataDir == "" {
 		return nil, func() {}, nil
 	}
@@ -230,7 +222,7 @@ func mountStore(dataDir string, budget int64, inj *faults.Injector) (*store.Stor
 			filepath.Join(dataDir, "provenance.log"), err)
 	}
 	st, err := store.OpenOptions(filepath.Join(dataDir, "store"),
-		store.Options{Budget: budget, Injector: inj,
+		store.Options{Budget: budget,
 			OnWrite: func(ev store.WriteEvent) {
 				prov.Append(ev.Addr, ev.Platform, ev.SpecKey, store.PipelineVersion)
 			}})
@@ -354,27 +346,6 @@ func verifyPeerTip(peerURL, nodeID string, res *provenance.VerifyResult) error {
 	return nil
 }
 
-// armFaults loads a -fault-spec and installs it on the shared compile
-// path; the injector is also handed to mountStore so the store's I/O
-// sites fire from the same rule set. Like the daemon, the CLI refuses
-// a spec without the explicit -allow-faults acknowledgement.
-func armFaults(spec string, allow bool) (*faults.Injector, func(), error) {
-	if spec == "" {
-		return nil, func() {}, nil
-	}
-	if !allow {
-		return nil, nil, errors.New("-fault-spec injects failures on purpose; pass -allow-faults to confirm")
-	}
-	inj, err := faults.Load(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Fprintf(os.Stderr, "dabench: FAULT INJECTION ACTIVE (%d rules, seed %d)\n",
-		len(inj.Stats().Rules), inj.Stats().Seed)
-	experiments.SetFaultInjector(inj)
-	return inj, func() { experiments.SetFaultInjector(nil) }, nil
-}
-
 // runScenario dispatches the scenario subcommands: the declarative
 // multi-platform studies of internal/scenario.
 func runScenario(args []string) error {
@@ -410,8 +381,6 @@ func runScenarioRun(args []string) error {
 	quiet := fs.Bool("q", false, "suppress timing/cache stats on stderr")
 	dataDir := fs.String("data-dir", "", "persistent result-store directory (share it with dabenchd's -data-dir to reuse its results)")
 	storeBudget := fs.Int64("store-budget", 256<<20, "result-store on-disk byte budget (LRU eviction; <= 0 = unbounded)")
-	faultSpec := fs.String("fault-spec", "", "fault-injection spec: inline JSON or a file path (requires -allow-faults)")
-	allowFaults := fs.Bool("allow-faults", false, "acknowledge that -fault-spec deliberately injects failures")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -421,11 +390,6 @@ func runScenarioRun(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: dabench scenario run [flags] <file|name> (got %d args)", fs.NArg())
 	}
-	inj, unarm, err := armFaults(*faultSpec, *allowFaults)
-	if err != nil {
-		return err
-	}
-	defer unarm()
 	arg := fs.Arg(0)
 	sc, ok := scenario.ByName(arg)
 	if !ok {
@@ -440,7 +404,7 @@ func runScenarioRun(args []string) error {
 
 	sweep.SetDefaultWorkers(*parallel)
 	defer sweep.SetDefaultWorkers(0)
-	st, unmount, err := mountStore(*dataDir, *storeBudget, inj)
+	st, unmount, err := mountStore(*dataDir, *storeBudget)
 	if err != nil {
 		return err
 	}

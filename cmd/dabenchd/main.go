@@ -9,12 +9,12 @@
 //	dabenchd [-addr :8080] [-parallel N] [-max-inflight M]
 //	         [-timeout 2m] [-drain-timeout 15s] [-max-sweep-points 1024]
 //	         [-data-dir DIR] [-store-budget BYTES] [-resp-cache-budget BYTES]
-//	         [-job-workers N] [-max-job-points 1048576]
-//	         [-chunk-retries 3] [-chunk-retry-backoff 50ms]
-//	         [-allow-faults -fault-spec SPEC]
+//	         [-max-job-points 1048576] [-allow-faults -fault-spec SPEC]
 //	         [-node-id NAME -peers id=url,... [-advertise URL]]
-//	         [-gossip-interval 1s] [-peer-timeout 500ms]
-//	         [-stage-log FILE] [-version]
+//	         [-gossip-interval 1s] [-peer-timeout 500ms] [-version]
+//
+// Async jobs fan out on half the -parallel pool (at least one worker),
+// leaving the other half to interactive requests.
 //
 // Clustering: -peers (with -node-id and -data-dir) joins the daemon to
 // a static fleet that shares liveness only: nodes poll each other's
@@ -27,10 +27,9 @@
 // Observability: GET /metrics renders every internal counter plus
 // per-request stage and per-platform pipeline latency histograms in
 // Prometheus text exposition; each served response carries a
-// Server-Timing header with its stage breakdown, and -stage-log
-// appends the same breakdown as one CSV row per request. With
-// -data-dir every store blob write (one per cold /v1/run) also
-// appends to a hash-linked provenance chain at DIR/provenance.log (GET
+// Server-Timing header with its stage breakdown. With -data-dir every
+// store blob write (one per cold /v1/run) also appends to a
+// hash-linked provenance chain at DIR/provenance.log (GET
 // /v1/provenance/{addr} looks records up; `dabench provenance verify`
 // audits the chain offline). A chain that fails verification at
 // startup is fatal.
@@ -48,9 +47,10 @@
 // describing which internal operations fail, how, and how often, and
 // refuses to load unless -allow-faults acknowledges the intent. Under
 // injected faults the daemon degrades rather than fails: store I/O is
-// retried and circuit-broken, failing job chunks are retried then
-// quarantined into a failed_chunks manifest, and /healthz reports
-// per-component degraded state. See DESIGN.md "Failure model".
+// retried and circuit-broken, failing job chunks get 3 attempts
+// (backoff from 50ms) and are then quarantined into a failed_chunks
+// manifest, and /healthz reports per-component degraded state. See
+// DESIGN.md "Failure model".
 //
 // With -data-dir the daemon is durable: each cold /v1/run persists its
 // outcome and response bytes as one frame in a content-addressed store
@@ -118,13 +118,9 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "durable state directory (result store + job journal); empty = RAM only")
 	storeBudget := fs.Int64("store-budget", 256<<20, "result-store on-disk byte budget (LRU eviction; <= 0 = unbounded)")
 	respBudget := fs.Int64("resp-cache-budget", 32<<20, "in-memory response-byte cache budget (LRU eviction; < 0 = disabled)")
-	jobWorkers := fs.Int("job-workers", 0, "background sweep pool size for async jobs (0 = half of -parallel)")
 	maxJobPoints := fs.Int("max-job-points", 1<<20, "hard cap on one /v1/jobs cross product")
-	chunkRetries := fs.Int("chunk-retries", 0, "attempts per failed job chunk before quarantine (0 = default 3)")
-	chunkBackoff := fs.Duration("chunk-retry-backoff", 0, "initial backoff between chunk attempts (0 = default 50ms)")
 	faultSpec := fs.String("fault-spec", "", "fault-injection spec: inline JSON or a file path (requires -allow-faults)")
 	allowFaults := fs.Bool("allow-faults", false, "acknowledge that -fault-spec deliberately injects failures")
-	stageLog := fs.String("stage-log", "", "append per-request stage timings as CSV rows to this file")
 	nodeID := fs.String("node-id", "", "this node's cluster name (required with -peers)")
 	peers := fs.String("peers", "", "static cluster peers as id=url,id=url (requires -node-id and -data-dir)")
 	advertise := fs.String("advertise", "", "base URL peers reach this node at (advertised in gossip)")
@@ -153,14 +149,8 @@ func run(args []string) error {
 	if *maxPoints < 1 {
 		return fmt.Errorf("-max-sweep-points must be >= 1, got %d", *maxPoints)
 	}
-	if *jobWorkers < 0 || *jobWorkers > sweep.MaxWorkers {
-		return fmt.Errorf("-job-workers must be in [0, %d], got %d", sweep.MaxWorkers, *jobWorkers)
-	}
 	if *maxJobPoints < 1 {
 		return fmt.Errorf("-max-job-points must be >= 1, got %d", *maxJobPoints)
-	}
-	if *chunkRetries < 0 {
-		return fmt.Errorf("-chunk-retries must be >= 0, got %d", *chunkRetries)
 	}
 	if *peers == "" && *nodeID != "" {
 		return errors.New("-node-id without -peers names a cluster of one; drop it or add -peers")
@@ -214,16 +204,12 @@ func run(args []string) error {
 	}
 
 	cfg := server.Config{
-		MaxInFlight:       inflight,
-		RequestTimeout:    *timeout,
-		MaxSweepPoints:    *maxPoints,
-		RespCacheBudget:   *respBudget,
-		JobSweepWorkers:   *jobWorkers,
-		MaxJobPoints:      *maxJobPoints,
-		ChunkRetries:      *chunkRetries,
-		ChunkRetryBackoff: *chunkBackoff,
-		Injector:          inj,
-		StageLogPath:      *stageLog,
+		MaxInFlight:     inflight,
+		RequestTimeout:  *timeout,
+		MaxSweepPoints:  *maxPoints,
+		RespCacheBudget: *respBudget,
+		MaxJobPoints:    *maxJobPoints,
+		Injector:        inj,
 	}
 	// The one injector reaches every hook tier: the store's I/O sites
 	// (via Options), the compile path (via the experiments seam), and

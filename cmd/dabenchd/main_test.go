@@ -18,11 +18,15 @@ func TestFlagValidation(t *testing.T) {
 		{"zero timeout", []string{"-timeout", "0s"}, "-timeout"},
 		{"zero drain", []string{"-drain-timeout", "0s"}, "-timeout"},
 		{"zero sweep points", []string{"-max-sweep-points", "0"}, "-max-sweep-points"},
-		{"negative job workers", []string{"-job-workers", "-1"}, "-job-workers"},
-		{"huge job workers", []string{"-job-workers", "100000"}, "-job-workers"},
 		{"zero job points", []string{"-max-job-points", "0"}, "-max-job-points"},
-		{"negative chunk retries", []string{"-chunk-retries", "-1"}, "-chunk-retries"},
 		{"stray argument", []string{"stray"}, "unexpected argument"},
+		// Deleted flags fail at parse time, whatever their value. -parallel 0
+		// makes a binary that does define one fail too, but on -parallel instead.
+		{"negative job workers", []string{"-job-workers", "-1", "-parallel", "0"}, "flag provided but not defined: -job-workers"},
+		{"huge job workers", []string{"-job-workers", "100000", "-parallel", "0"}, "flag provided but not defined: -job-workers"},
+		{"negative chunk retries", []string{"-chunk-retries", "-1", "-parallel", "0"}, "flag provided but not defined: -chunk-retries"},
+		{"undefined chunk-retry-backoff", []string{"-chunk-retry-backoff", "50ms", "-parallel", "0"}, "flag provided but not defined: -chunk-retry-backoff"},
+		{"undefined stage-log", []string{"-stage-log", "stages.csv", "-parallel", "0"}, "flag provided but not defined: -stage-log"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,14 +26,30 @@ import (
 // whole.
 const jobChunk = 256
 
+// The chunk retry budget: chunkAttempts tries in all, the waits between
+// them doubling from chunkRetryBackoff. Only injected faults are
+// retried, so the budget serves the fault harness.
+const (
+	chunkAttempts     = 3
+	chunkRetryBackoff = 50 * time.Millisecond
+)
+
+// jobWorkers is the pool width a job's points fan out on: half the
+// process sweep pool, at least one. The other half stays with
+// interactive requests: on 2 vCPUs the full pool ran RDU jobs 17–22%
+// faster but raised the p99 of concurrent /v1/sweep requests by 57–72%
+// (DESIGN.md, "The async job subsystem").
+func jobWorkers() int {
+	return max(1, sweep.DefaultWorkers()/2)
+}
+
 // runChunk executes one job chunk [lo, hi) under the chunk retry
 // policy: an injected fault backs off and retries the whole chunk up
-// to Config.ChunkRetries attempts. Point compiles are memoized, so a
-// retry only re-runs what actually failed. Any other hard error is
-// returned at once: the simulators are pure functions of the spec, so
-// it would recur on every attempt, and context errors must stay
-// prompt. Returns the outcomes, the attempts consumed, and the final
-// error.
+// to chunkAttempts times. Point compiles are memoized, so a retry only
+// re-runs what actually failed. Any other hard error is returned at
+// once: the simulators are pure functions of the spec, so it would
+// recur on every attempt, and context errors must stay prompt. Returns
+// the outcomes, the attempts consumed, and the final error.
 func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]sweep.Outcome[RunResult], int, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -46,18 +62,18 @@ func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]swee
 					return RunResult{}, err
 				}
 				return runPoint(a.p, spec)
-			}, sweep.Workers(s.cfg.JobSweepWorkers), sweep.Tolerating(platform.IsCompileFailure))
+			}, sweep.Workers(jobWorkers()), sweep.Tolerating(platform.IsCompileFailure))
 		}
 		if err == nil {
 			return outs, attempt, nil
 		}
 		lastErr = err
-		if !faults.IsInjected(err) || ctx.Err() != nil || attempt >= s.cfg.ChunkRetries {
+		if !faults.IsInjected(err) || ctx.Err() != nil || attempt >= chunkAttempts {
 			return nil, attempt, lastErr
 		}
 		s.chunkRetries.Add(1)
 		select {
-		case <-time.After(s.cfg.ChunkRetryBackoff << (attempt - 1)):
+		case <-time.After(chunkRetryBackoff << (attempt - 1)):
 		case <-ctx.Done():
 			return nil, attempt, lastErr
 		}
@@ -128,19 +144,11 @@ func (s *Server) writeQueueFull(w http.ResponseWriter) {
 	writeError(w, http.StatusTooManyRequests, CodeQueueFull, "job queue is full; retry later")
 }
 
-// decodeSweepRequest parses raw strictly (unknown fields and trailing
-// data are client errors), mirroring the synchronous path's decode.
+// decodeSweepRequest parses raw as strictly as the synchronous path.
 func decodeSweepRequest(raw []byte) (SweepRequest, error) {
 	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("decode body: %w", err)
-	}
-	if dec.More() {
-		return req, errors.New("decode body: trailing data after JSON value")
-	}
-	return req, nil
+	err := decodeStrict(bytes.NewReader(raw), &req)
+	return req, err
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
@@ -269,11 +277,11 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // runJob is the jobs.RunFunc: execute one journaled SweepRequest on
 // the background pool, chunk by chunk. Each chunk re-derives its specs
 // from the axes (the full product is never materialized), fans out on
-// sweep.MapN with the dedicated job pool size, and reports cumulative
-// progress. Every chunk runs on this node, fleet or not: the manager
-// runs one job at a time, so a chunk shipped to a peer would only add a
-// round trip to it. The assembled result is encoded exactly as the
-// synchronous sweep handler encodes its response.
+// sweep.MapN at jobWorkers' width, and reports cumulative progress.
+// Every chunk runs on this node, fleet or not: the manager runs one job
+// at a time, so a chunk shipped to a peer would only add a round trip
+// to it. The assembled result is encoded exactly as the synchronous
+// sweep handler encodes its response.
 func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(done, failed int)) (json.RawMessage, error) {
 	// Scenario jobs are journaled inside a kind-marked envelope; bare
 	// bodies are the original sweep vocabulary. A sweep request can
@@ -337,14 +345,8 @@ func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(
 		progress(hi, resp.Failed)
 	}
 
-	// Encode with the same settings writeJSON uses so the stored bytes
-	// equal a synchronous response body for the same points (a clean run
-	// omits failed_chunks, so the envelopes stay identical).
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	// The stored bytes equal a synchronous response body for the same
+	// points (a clean run omits failed_chunks, so the envelopes stay
+	// identical).
+	return marshalJSON(resp)
 }

@@ -205,10 +205,6 @@ func (s *Server) collect(e *telemetry.Exposition) {
 		ps := s.cfg.Provenance.Stats()
 		e.Gauge("dabench_provenance_records", "Length of the provenance hash chain.", float64(ps.Records))
 	}
-	if s.stageLog != nil {
-		e.Counter("dabench_stage_log_errors_total", "Stage-log CSV rows lost to write errors.",
-			float64(s.stageLog.errs.Load()))
-	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -149,6 +149,18 @@ func putBuf(buf *bytes.Buffer) {
 	}
 }
 
+// marshalJSON is encodeJSON for bytes that outlive the call: it returns
+// an owned copy and recycles the pooled buffer.
+func marshalJSON(v any) ([]byte, error) {
+	buf, err := encodeJSON(v)
+	if err != nil {
+		return nil, err
+	}
+	b := append([]byte(nil), buf.Bytes()...)
+	putBuf(buf)
+	return b, nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf, err := encodeJSON(v)
 	if err != nil {
@@ -171,10 +183,11 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, errorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
 }
 
-// decode parses a JSON body strictly: unknown fields, trailing data
-// and oversized bodies are client errors, never silently ignored.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeStrict decodes exactly one JSON value from rd: unknown fields
+// and trailing data are client errors, never silently ignored. Every
+// request decoder in the package goes through it.
+func decodeStrict(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode body: %w", err)
@@ -183,6 +196,12 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 		return errors.New("decode body: trailing data after JSON value")
 	}
 	return nil
+}
+
+// decode parses a streamed JSON body strictly; an oversized body is a
+// client error too.
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
 }
 
 // bodyBuf is one pooled request-read buffer plus the bytes.Reader that
@@ -229,19 +248,10 @@ func putBodyBuf(bb *bodyBuf) {
 }
 
 // decodeBody decodes one strict JSON value from buf through bb's pooled
-// reader. Strictness is identical to decode: unknown fields and
-// trailing data are client errors.
+// reader.
 func decodeBody(bb *bodyBuf, buf []byte, v any) error {
 	bb.rd.Reset(buf)
-	dec := json.NewDecoder(&bb.rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode body: %w", err)
-	}
-	if dec.More() {
-		return errors.New("decode body: trailing data after JSON value")
-	}
-	return nil
+	return decodeStrict(&bb.rd, v)
 }
 
 // decodeLean is decode for the hot endpoints: when the client sent a

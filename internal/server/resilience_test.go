@@ -39,7 +39,7 @@ func TestChunkRetryRecoversTransientFault(t *testing.T) {
 	in := serverInjector(t, faults.Spec{Rules: []faults.Rule{
 		{Op: faults.OpChunkRun, Kind: faults.KindEIO, Count: 1},
 	}})
-	ts := newTestServer(t, Config{Injector: in, ChunkRetryBackoff: time.Millisecond})
+	ts := newTestServer(t, Config{Injector: in})
 
 	body := `{"platform":"wse","model":"gpt2-small","seq":1024,"layer_counts":[2,4],"batches":[256,512]}`
 	resp, b := postJSON(t, ts.URL+"/v1/jobs", body)
@@ -76,11 +76,11 @@ func TestPoisonChunkIsQuarantined(t *testing.T) {
 	// every attempt and is quarantined while chunk 1 runs clean — the
 	// acceptance shape: a job with one permanently failing chunk ends
 	// done with a failed_chunks manifest, not failed.
-	const retries = 3
+	const retries = chunkAttempts
 	in := serverInjector(t, faults.Spec{Rules: []faults.Rule{
 		{Op: faults.OpChunkRun, Kind: faults.KindEIO, Count: retries},
 	}})
-	ts := newTestServer(t, Config{Injector: in, ChunkRetries: retries, ChunkRetryBackoff: time.Millisecond})
+	ts := newTestServer(t, Config{Injector: in})
 
 	// 300 points = 2 chunks (256 + 44) of cheap memoized WSE compiles.
 	var batches []string

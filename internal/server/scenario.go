@@ -225,13 +225,8 @@ func (s *Server) handleScenarioSubmit(w http.ResponseWriter, r *http.Request) {
 func renderScenario(out *scenario.Outcome, format string) ([]byte, string, error) {
 	switch format {
 	case "json":
-		buf, err := encodeJSON(out)
-		if err != nil {
-			return nil, "", err
-		}
-		body := append([]byte(nil), buf.Bytes()...)
-		putBuf(buf)
-		return body, ctJSON, nil
+		body, err := marshalJSON(out)
+		return body, ctJSON, err
 	case "csv":
 		var buf bytes.Buffer
 		if err := out.Render(&buf, true); err != nil {
@@ -245,19 +240,6 @@ func renderScenario(out *scenario.Outcome, format string) ([]byte, string, error
 		}
 		return buf.Bytes(), "text/plain; charset=utf-8", nil
 	}
-}
-
-// writeScenario renders one scenario outcome straight to the wire (the
-// POST paths, which have no fast lane to feed).
-func writeScenario(w http.ResponseWriter, out *scenario.Outcome, format string) {
-	body, contentType, err := renderScenario(out, format)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = w.Write(body)
 }
 
 // jobEnvelope distinguishes journaled job request vocabularies: sweep
@@ -297,19 +279,13 @@ func (s *Server) runScenarioJob(ctx context.Context, raw json.RawMessage, progre
 		return nil, fmt.Errorf("scenario of %d points exceeds the job cap of %d", total, s.cfg.MaxJobPoints)
 	}
 	out, err := scenario.Run(ctx, sc, scenario.RunOptions{
-		Workers:  s.cfg.JobSweepWorkers,
+		Workers:  jobWorkers(),
 		Progress: progress,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(out); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return marshalJSON(out)
 }
 
 // isScenarioResult classifies a stored job result by probing the

@@ -82,20 +82,11 @@ type Config struct {
 	// JobsDir is the job journal/results directory; "" runs the job
 	// subsystem ephemeral (full lifecycle, no restart durability).
 	JobsDir string
-	// JobSweepWorkers is the background pool size each async job's
-	// sweeps fan out on (default: half the process sweep pool, min 1 —
-	// batch work must not starve interactive requests).
-	JobSweepWorkers int
 	// MaxJobPoints caps one job's cross product (default 1<<20). Jobs
 	// hold their full result in memory while accumulating, so this is
 	// a memory bound, not a latency one.
 	MaxJobPoints int
 
-	// ChunkRetries is the total attempts per failed job chunk before it
-	// is quarantined (default 3); ChunkRetryBackoff the initial
-	// exponential backoff between attempts (default 50ms).
-	ChunkRetries      int
-	ChunkRetryBackoff time.Duration
 	// Injector is the optional fault injector: fired at the job
 	// executor's chunk boundary, handed to the job journal, and snap-
 	// shotted into /v1/stats. Nil injects nothing.
@@ -111,10 +102,6 @@ type Config struct {
 	// request path consults it: /v1/run reads only Store and recomputes
 	// on a miss, and async jobs run every chunk on this node.
 	Cluster *cluster.Fabric
-	// StageLogPath, when set, appends one CSV row of per-stage timings
-	// for every served request (the flight-recorder complement to the
-	// /metrics histograms).
-	StageLogPath string
 }
 
 func (c Config) withDefaults() Config {
@@ -130,17 +117,8 @@ func (c Config) withDefaults() Config {
 	if c.RespCacheBudget == 0 {
 		c.RespCacheBudget = 32 << 20
 	}
-	if c.JobSweepWorkers <= 0 {
-		c.JobSweepWorkers = max(1, sweep.DefaultWorkers()/2)
-	}
 	if c.MaxJobPoints <= 0 {
 		c.MaxJobPoints = 1 << 20
-	}
-	if c.ChunkRetries <= 0 {
-		c.ChunkRetries = 3
-	}
-	if c.ChunkRetryBackoff <= 0 {
-		c.ChunkRetryBackoff = 50 * time.Millisecond
 	}
 	return c
 }
@@ -196,12 +174,10 @@ type Server struct {
 	// reg is the /metrics registry; stageHist the pre-resolved
 	// (endpoint, stage) histogram grid (nil cells are stages that
 	// endpoint never records); pipeHist the per-platform simulator-work
-	// histograms fed by the experiments stage hook. stageLog is the
-	// optional CSV flight recorder.
+	// histograms fed by the experiments stage hook.
 	reg       *telemetry.Registry
 	stageHist [nEndpoints][nStages]*telemetry.Histogram
 	pipeHist  map[string]*telemetry.Histogram
-	stageLog  *stageLog
 
 	// fabric is the attached cluster fabric (nil single-node); an
 	// atomic pointer so tests can attach one after their httptest
@@ -238,23 +214,10 @@ func New(cfg Config) (*Server, error) {
 		s.SetCluster(cfg.Cluster)
 	}
 	s.initMetrics()
-	if cfg.StageLogPath != "" {
-		sl, err := openStageLog(cfg.StageLogPath)
-		if err != nil {
-			if s.unhookReset != nil {
-				s.unhookReset()
-			}
-			return nil, err
-		}
-		s.stageLog = sl
-	}
 	jm, err := jobs.Open(jobs.Config{Dir: cfg.JobsDir, Run: s.runJob, Injector: cfg.Injector})
 	if err != nil {
 		if s.unhookReset != nil {
 			s.unhookReset()
-		}
-		if s.stageLog != nil {
-			_ = s.stageLog.Close()
 		}
 		return nil, err
 	}
@@ -310,10 +273,6 @@ func (s *Server) Close() {
 	if s.unhookReset != nil {
 		s.unhookReset()
 		s.unhookReset = nil
-	}
-	if s.stageLog != nil {
-		_ = s.stageLog.Close()
-		s.stageLog = nil
 	}
 	s.jobs.Close()
 }
@@ -656,13 +615,11 @@ func (s *Server) runSlow(w http.ResponseWriter, r *http.Request, p platform.Cach
 // served (nil if encoding failed).
 func (s *Server) finishRun(w http.ResponseWriter, platformName, etag string, res RunResult, out platform.Stored, st *stageTimer) *respEntry {
 	t := time.Now()
-	buf, err := encodeJSON(res)
+	body, err := marshalJSON(res)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return nil
 	}
-	body := append([]byte(nil), buf.Bytes()...)
-	putBuf(buf)
 	st.observe(stgRender, time.Since(t))
 	if s.cfg.Store != nil {
 		// The framing and enqueue, not the disk write — the store is
@@ -785,13 +742,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		res.Label = labels[i]
 		resp.Results[i] = res
 	}
-	buf, err := encodeJSON(resp)
+	body, err := marshalJSON(resp)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	body := append([]byte(nil), buf.Bytes()...)
-	putBuf(buf)
 	st.observe(stgRender, time.Since(t))
 	s.finishStages(w, &st)
 	s.cacheAndServe(w, ck, etag, ctJSON, body)

@@ -1,21 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"net/http"
-	"os"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Per-request stage timing. Every serving endpoint accounts its wall
 // clock into named stages — where a request's latency actually went —
-// and reports them three ways at once: the per-endpoint histograms on
-// /metrics, a Server-Timing response header (so a single curl shows
-// the breakdown without a scrape), and optionally one CSV row per
-// request via -stage-log.
+// and reports them two ways at once: the per-endpoint histograms on
+// /metrics and a Server-Timing response header (so a single curl shows
+// the breakdown without a scrape).
 //
 // Two deliberate asymmetries keep the distributions honest:
 //
@@ -56,7 +51,7 @@ const (
 	nEndpoints
 )
 
-// Stage indices. Order is the Server-Timing / CSV column order.
+// Stage indices. Order is the Server-Timing order.
 const (
 	stgAdmission = iota
 	stgDecode
@@ -122,10 +117,9 @@ func (t *stageTimer) observe(stg int, d time.Duration) {
 
 // finishStages closes out a request's timing immediately before the
 // response starts: total is stamped, every recorded stage feeds its
-// histogram, the Server-Timing header is set (it must precede
-// WriteHeader), and the optional CSV row is appended. Cost on the warm
-// path is three small allocations (the header bytes, its string, and
-// the one-element header slice).
+// histogram, and the Server-Timing header is set (it must precede
+// WriteHeader). Cost on the warm path is two small allocations (the
+// header string and its one-element slice).
 func (s *Server) finishStages(w http.ResponseWriter, t *stageTimer) {
 	t.observe(stgTotal, time.Since(t.t0))
 	buf := make([]byte, 0, 160)
@@ -143,69 +137,4 @@ func (s *Server) finishStages(w http.ResponseWriter, t *stageTimer) {
 		buf = strconv.AppendFloat(buf, float64(t.durs[stg])/float64(time.Millisecond), 'f', 3, 64)
 	}
 	w.Header()["Server-Timing"] = []string{string(buf)}
-	if s.stageLog != nil {
-		s.stageLog.record(t)
-	}
-}
-
-// stageLog appends one CSV row per served request. It is a debugging
-// flight recorder, not a durability surface: rows flush per record so
-// a tail -f mid-incident sees them, write failures are counted (and
-// surfaced on /metrics) but never fail a request.
-type stageLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	errs atomic.Int64
-}
-
-// stageLogHeader is the CSV column row, written once per fresh file.
-const stageLogHeader = "unix_ms,endpoint,admission_s,decode_s,compile_s,run_s,render_s,store_read_s,store_write_s,total_s\n"
-
-func openStageLog(path string) (*stageLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	l := &stageLog{f: f, w: bufio.NewWriter(f)}
-	if fi, err := f.Stat(); err == nil && fi.Size() == 0 {
-		_, _ = l.w.WriteString(stageLogHeader)
-		_ = l.w.Flush()
-	}
-	return l, nil
-}
-
-// record appends one row; stages the request never recorded render as
-// empty fields, so warm and cold rows stay column-aligned.
-func (l *stageLog) record(t *stageTimer) {
-	buf := make([]byte, 0, 192)
-	buf = strconv.AppendInt(buf, time.Now().UnixMilli(), 10)
-	buf = append(buf, ',')
-	buf = append(buf, endpointNames[t.ep]...)
-	for stg := 0; stg < nStages; stg++ {
-		buf = append(buf, ',')
-		if t.set&(1<<stg) != 0 {
-			buf = strconv.AppendFloat(buf, t.durs[stg].Seconds(), 'f', 9, 64)
-		}
-	}
-	buf = append(buf, '\n')
-	l.mu.Lock()
-	_, err := l.w.Write(buf)
-	if err == nil {
-		err = l.w.Flush()
-	}
-	l.mu.Unlock()
-	if err != nil {
-		l.errs.Add(1)
-	}
-}
-
-func (l *stageLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		_ = l.f.Close()
-		return err
-	}
-	return l.f.Close()
 }

@@ -311,57 +311,6 @@ func TestProvenanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestStageLogCSV checks the -stage-log flight recorder: a header on
-// the fresh file, one column-aligned row per served request, and
-// append (not truncate) semantics across reopens.
-func TestStageLogCSV(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stages.csv")
-	s, err := New(Config{MaxInFlight: 3, StageLogPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	postRun(t, ts, `{"platform":"wse","model":"gpt2-small","batch":512,"seq":1024,"precision":"FP16"}`)
-	ts.Close()
-	s.Close()
-
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-	if lines[0] != strings.TrimRight(stageLogHeader, "\n") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if len(lines) != 2 {
-		t.Fatalf("rows = %d, want 1 (+header)", len(lines)-1)
-	}
-	cols := strings.Split(lines[1], ",")
-	if want := strings.Count(stageLogHeader, ","); len(cols) != want+1 {
-		t.Errorf("row has %d columns, want %d: %q", len(cols), want+1, lines[1])
-	}
-	if cols[1] != "/v1/run" {
-		t.Errorf("endpoint column = %q", cols[1])
-	}
-
-	// Reopen: the header must not repeat.
-	s2, err := New(Config{MaxInFlight: 3, StageLogPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(s2)
-	postRun(t, ts2, `{"platform":"wse","model":"gpt2-small","batch":512,"seq":1024,"precision":"FP16"}`)
-	ts2.Close()
-	s2.Close()
-	b, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(string(b), "unix_ms"); got != 1 {
-		t.Errorf("header appears %d times after reopen, want 1", got)
-	}
-}
-
 // TestVersionInStats pins the version field added to /v1/stats.
 func TestVersionInStats(t *testing.T) {
 	ts := newTestServer(t, Config{MaxInFlight: 3})

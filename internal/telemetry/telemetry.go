@@ -5,10 +5,8 @@
 // curl, useless to a scrape-based monitoring fleet that wants latency
 // distributions and uniform series names.
 //
-// Three instrument kinds cover the daemon's needs:
+// Two instrument kinds cover the daemon's needs:
 //
-//   - Counter: a monotonically increasing int64 (requests served,
-//     stage-log rows dropped). Owned by the registry.
 //   - Histogram: fixed-bucket latency distribution with the Prometheus
 //     cumulative-bucket contract (le is an inclusive upper bound).
 //     Observation is lock-free — one atomic add per bucket walk plus a
@@ -50,20 +48,6 @@ type Label struct {
 // multi-minute sweep. +Inf is implicit.
 var DefBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 1, 2.5, 10, 60}
 
-// Counter is a monotonically increasing sample owned by the registry.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be >= 0 to keep the counter contract).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 // Histogram is a fixed-bucket distribution. Observe is safe for
 // concurrent use and allocation-free.
 type Histogram struct {
@@ -98,25 +82,24 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// series is one registered instrument plus its rendered label string.
+// series is one registered histogram plus its rendered label string.
 type series struct {
 	labels string // pre-rendered {a="b",c="d"} or ""
-	ctr    *Counter
 	hist   *Histogram
 }
 
-// family groups the series of one metric name under a shared HELP/TYPE.
+// family groups the histogram series of one metric name under a
+// shared HELP.
 type family struct {
-	name, help, typ string
-	series          []*series
+	help   string
+	series []*series
 }
 
-// Registry holds registered instruments and scrape-time collectors.
+// Registry holds registered histograms and scrape-time collectors.
 // The zero value is not usable; create with NewRegistry.
 type Registry struct {
 	mu         sync.Mutex
 	families   map[string]*family
-	order      []string
 	collectors []func(e *Exposition)
 }
 
@@ -154,36 +137,22 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// register appends a series under name, creating the family on first
-// use. A family's type and help are fixed by its first registration.
-func (r *Registry) register(name, help, typ string, s *series) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, help: help, typ: typ}
-		r.families[name] = f
-		r.order = append(r.order, name)
-	}
-	f.series = append(f.series, s)
-}
-
-// Counter registers (or extends) a counter family and returns the
-// instrument for the given label set.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", &series{labels: renderLabels(labels), ctr: c})
-	return c
-}
-
 // Histogram registers a histogram series with the given upper bounds
 // (nil means DefBuckets; +Inf is implicit) and returns the instrument.
+// A family's help is fixed by its first registration.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	if bounds == nil {
 		bounds = DefBuckets
 	}
 	h := &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-	r.register(name, help, "histogram", &series{labels: renderLabels(labels), hist: h})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[name]
+	if !ok {
+		f = &family{help: help}
+		r.families[name] = f
+	}
+	f.series = append(f.series, &series{labels: renderLabels(labels), hist: h})
 	return h
 }
 
@@ -204,8 +173,8 @@ type sample struct {
 	value  string
 }
 
-// expFamily is one family being rendered: static series snapshots and
-// collector samples merged.
+// expFamily is one family being rendered: registered histograms or
+// collector samples.
 type expFamily struct {
 	help, typ string
 	samples   []sample  // counter/gauge values
@@ -250,23 +219,16 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders the full exposition: registered instruments
+// WritePrometheus renders the full exposition: registered histograms
 // plus every collector's samples, families sorted by name, series
 // sorted by label string. The output satisfies the Prometheus text
 // format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	exp := &Exposition{families: map[string]*expFamily{}}
-	for _, name := range r.order {
-		f := r.families[name]
-		ef := exp.family(name, f.help, f.typ)
-		for _, s := range f.series {
-			if s.hist != nil {
-				ef.hists = append(ef.hists, s)
-			} else {
-				ef.samples = append(ef.samples, sample{s.labels, strconv.FormatInt(s.ctr.Value(), 10)})
-			}
-		}
+	for name, f := range r.families {
+		ef := exp.family(name, f.help, "histogram")
+		ef.hists = append(ef.hists, f.series...)
 	}
 	for _, fn := range r.collectors {
 		fn(exp)
