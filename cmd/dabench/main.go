@@ -61,6 +61,14 @@ func main() {
 }
 
 func run(args []string) error {
+	err := dispatch(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil // -h: the flag set has printed its usage to stderr
+	}
+	return err
+}
+
+func dispatch(args []string) error {
 	if len(args) == 0 {
 		args = []string{"experiments"}
 	}

@@ -7,6 +7,7 @@ import (
 	"dabench/internal/store"
 
 	dabench "dabench"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -361,4 +362,47 @@ func TestVersionCommand(t *testing.T) {
 			t.Errorf("%s: %v", arg, err)
 		}
 	}
+}
+
+// TestHelpFlagSucceeds requires every subcommand's -h to print its
+// usage to stderr and succeed, so the binary exits 0 without an error
+// line, as `dabench help` does.
+func TestHelpFlagSucceeds(t *testing.T) {
+	for _, args := range [][]string{
+		{"experiments", "-h"},
+		{"profile", "-h"},
+		{"analyze", "-h"},
+		{"scenario", "run", "-h"},
+		{"provenance", "verify", "-h"},
+	} {
+		var err error
+		usage := captureStderr(t, func() { err = run(args) })
+		if err != nil {
+			t.Errorf("%q: %v, want success", args, err)
+		}
+		if !strings.Contains(usage, "Usage of ") || !strings.Contains(usage, "  -") {
+			t.Errorf("%q printed no flag usage on stderr: %q", args, usage)
+		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected to a pipe and returns
+// what fn wrote there.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = stderr }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	fn()
+	w.Close()
+	return <-out
 }

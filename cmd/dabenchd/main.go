@@ -128,6 +128,9 @@ func run(args []string) error {
 	peerTimeout := fs.Duration("peer-timeout", 500*time.Millisecond, "per-peer gossip probe deadline")
 	showVersion := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the flag set has printed its usage to stderr
+		}
 		return err
 	}
 	if *showVersion {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -45,5 +47,32 @@ func TestListenFailureSurfaces(t *testing.T) {
 	// An unbindable address must fail fast, not hang in Serve.
 	if err := run([]string{"-addr", "256.256.256.256:0"}); err == nil {
 		t.Error("unbindable address accepted")
+	}
+}
+
+// TestHelpFlagSucceeds requires -h to print the flag list to stderr and
+// succeed without starting the daemon, so `dabenchd -h` exits 0 and a
+// script can tell a help request from a failed boot.
+func TestHelpFlagSucceeds(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = stderr }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = run([]string{"-h"})
+	w.Close()
+	usage := <-out
+	if err != nil {
+		t.Errorf("dabenchd -h: %v, want success", err)
+	}
+	if !strings.Contains(usage, "Usage of dabenchd:") || !strings.Contains(usage, "  -addr") {
+		t.Errorf("dabenchd -h printed no flag usage on stderr: %q", usage)
 	}
 }

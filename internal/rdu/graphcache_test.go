@@ -3,10 +3,13 @@ package rdu
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dabench/internal/graph"
+	"dabench/internal/model"
 	"dabench/internal/platform"
+	"dabench/internal/precision"
 )
 
 // TestCompileSharesGraphAcrossModes asserts the cross-spec payoff the
@@ -72,6 +75,85 @@ func TestCompileAllocsIndependentOfDepth(t *testing.T) {
 				want = got
 			} else if math.Abs(got-want) > slack {
 				t.Errorf("%v cold compile at %d layers: %v allocs, want %v (as at 2 layers)", mode, l, got, want)
+			}
+		}
+	}
+}
+
+// TestWarmCompileAllocs bounds what an O0 or O1 compile allocates once
+// its layer graph is cached: the report and its rows, with no section
+// names, section list, sort permutation or per-group scratch. Both
+// model families' lowerings take the shared naming (computing one
+// would cost about 50 more). The count does not depend on when the GC
+// runs.
+func TestWarmCompileAllocs(t *testing.T) {
+	t.Cleanup(graph.ResetCache)
+	const limit = 10
+	slack := 0.0
+	if raceEnabled {
+		slack = 2
+	}
+	s := New()
+	for _, m := range []model.Config{model.GPT2Small(), model.LLaMA2_7B()} {
+		for _, mode := range []platform.CompileMode{platform.ModeO0, platform.ModeO1} {
+			spec := gptSpec(12, mode)
+			spec.Model = m.WithLayers(12)
+			mustCompile(t, spec) // caches the layer graph
+			got := testing.AllocsPerRun(50, func() {
+				if _, err := s.Compile(spec); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s %v warm compile: %v allocs", m.Name, mode, got)
+			if got > limit+slack {
+				t.Errorf("%s %v warm compile: %v allocs, want at most %d", m.Name, mode, got, limit)
+			}
+		}
+	}
+}
+
+// TestConcurrentCompilesMatchSerial compiles every mode for several
+// model shapes from several goroutines at once, all reading the one
+// process-wide naming and layer graphs, and requires each report to
+// equal a serial compile's.
+func TestConcurrentCompilesMatchSerial(t *testing.T) {
+	t.Cleanup(graph.ResetCache)
+	var specs []platform.TrainSpec
+	for _, m := range []model.Config{model.GPTMini(), model.GPT2Small(), model.LLaMA2_7B()} {
+		for _, mode := range []platform.CompileMode{platform.ModeO0, platform.ModeO1, platform.ModeO3} {
+			specs = append(specs, platform.TrainSpec{
+				Model: m.WithLayers(6), Batch: 4, Seq: 1024, Precision: precision.BF16,
+				Par: platform.Parallelism{Mode: mode},
+			})
+		}
+	}
+	want := make([]*platform.CompileReport, len(specs))
+	for i, spec := range specs {
+		want[i] = mustCompile(t, spec)
+	}
+	graph.ResetCache()
+	got := make([][]*platform.CompileReport, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := New()
+			for _, spec := range specs {
+				cr, err := s.Compile(spec)
+				if err != nil {
+					t.Errorf("%s: %v", spec.Key(), err)
+					return
+				}
+				got[w] = append(got[w], cr)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, crs := range got {
+		for i, cr := range crs {
+			if !reflect.DeepEqual(cr, want[i]) {
+				t.Errorf("goroutine %d, %s: concurrent report differs from the serial one", w, specs[i].Key())
 			}
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"dabench/internal/metrics"
 	"dabench/internal/platform"
+	"dabench/internal/precision"
 	"dabench/internal/units"
 )
 
@@ -43,19 +45,19 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	var secs []section
+	p := newPlan(spec, mode, tp)
 	switch mode {
 	case platform.ModeO0:
-		secs, err = buildO0(spec)
+		err = buildO0(&p)
 	case platform.ModeO1:
-		secs, err = buildO1(spec)
+		err = buildO1(&p)
 	default:
-		secs, err = buildO3(spec)
+		buildO3(&p)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return s.report(spec, mode, tp, secs)
+	return s.report(&p, mode)
 }
 
 // resolve validates the spec for the RDU and returns its effective
@@ -85,13 +87,61 @@ func resolve(spec platform.TrainSpec) (platform.CompileMode, int, error) {
 	return mode, tp, nil
 }
 
-// report turns a mode's section list into the compile report: the DDR
-// capacity check, per-section timing under TP, and the Eq. 2 weighted
-// allocation.
-func (s *Sim) report(spec platform.TrainSpec, mode platform.CompileMode, tp int, secs []section) (*platform.CompileReport, error) {
+// plan collects one compile's report rows. A section builder hands
+// each section to add as soon as it is derived, and add turns it into
+// its task row under TP at once, so no section list outlives the
+// builder.
+type plan struct {
+	spec             platform.TrainSpec
+	tp               int
+	pcuDrop, pmuDrop float64
+	overhead         float64 // per-invocation switch cost
+	tasks            []platform.Task
+	shards           int // LM-head shard sections
+}
+
+func newPlan(spec platform.TrainSpec, mode platform.CompileMode, tp int) plan {
+	// Tensor parallelism shards each section's work; crossing the
+	// machine boundary (TP>2) costs allocation (Figure 11b).
+	pcuDrop, pmuDrop := 1.0, 1.0
+	if tp > ChipsPerNode {
+		pcuDrop, pmuDrop = tpCrossPCUDrop, tpCrossPMUDrop
+	}
+	return plan{spec: spec, tp: tp, pcuDrop: pcuDrop, pmuDrop: pmuDrop, overhead: switchOverhead(mode)}
+}
+
+// add appends sec's task row: its allocation, per-invocation time and
+// per-chip work under TP.
+func (p *plan) add(sec *section) {
+	pcu := sec.pcus * p.pcuDrop
+	pmu := sec.pmus * p.pmuDrop
+	t := sectionTime(sec, pcu, p.spec.Precision, p.tp) + p.overhead
+	thr := 0.0
+	if t > 0 {
+		thr = 1 / t
+	}
+	if sec.kind == "shard" {
+		p.shards++
+	}
+	p.tasks = append(p.tasks, platform.Task{
+		Name: sec.name, Kind: "section",
+		Units:       platform.Units{PCU: pcu, PMU: pmu},
+		Throughput:  thr,
+		Runtime:     units.Seconds(t),
+		Invocations: sec.invocations,
+		FLOPs:       units.FLOPs(sec.flops / float64(p.tp)),
+		Traffic:     units.Bytes(sec.ddrBytes / float64(p.tp)),
+		Ops:         sec.ops,
+	})
+}
+
+// report turns a plan's task rows into the compile report: the DDR
+// capacity check, the name order, and the Eq. 2 weighted allocation.
+func (s *Sim) report(p *plan, mode platform.CompileMode) (*platform.CompileReport, error) {
+	spec, tp := p.spec, p.tp
 	// DDR capacity check: weights + gradients + optimizer state.
-	p := float64(spec.Model.Params())
-	statePerChip := p * (2 + 2 + 8 + spec.Precision.MasterWeightBytes()) / float64(tp)
+	params := float64(spec.Model.Params())
+	statePerChip := params * (2 + 2 + 8 + spec.Precision.MasterWeightBytes()) / float64(tp)
 	if statePerChip > DDRBytes {
 		return nil, &platform.CompileError{
 			Platform: s.Name(),
@@ -100,52 +150,21 @@ func (s *Sim) report(spec platform.TrainSpec, mode platform.CompileMode, tp int,
 		}
 	}
 
-	// Tensor parallelism shards each section's work; crossing the
-	// machine boundary (TP>2) costs allocation (Figure 11b).
-	pcuDrop, pmuDrop := 1.0, 1.0
-	if tp > ChipsPerNode {
-		pcuDrop, pmuDrop = tpCrossPCUDrop, tpCrossPMUDrop
-	}
-
-	// Tasks are listed by section name, equal names in build order. The
-	// stable sort permutes indices rather than moving the sections.
-	order := make([]int, len(secs))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(secs[a].name, secs[b].name) })
-
-	overhead := switchOverhead(mode)
-	tasks := make([]platform.Task, 0, len(secs))
-	for _, k := range order {
-		sec := &secs[k]
-		pcu := sec.pcus * pcuDrop
-		pmu := sec.pmus * pmuDrop
-		t := sectionTime(sec, pcu, spec, tp) + overhead
-		thr := 0.0
-		if t > 0 {
-			thr = 1 / t
-		}
-		tasks = append(tasks, platform.Task{
-			Name: sec.name, Kind: "section",
-			Units:       platform.Units{PCU: pcu, PMU: pmu},
-			Throughput:  thr,
-			Runtime:     units.Seconds(t),
-			Invocations: sec.invocations,
-			FLOPs:       units.FLOPs(sec.flops / float64(tp)),
-			Traffic:     units.Bytes(sec.ddrBytes / float64(tp)),
-			Ops:         sec.ops,
-		})
+	// Tasks are listed by section name, equal names in build order. O0
+	// and O3 build in that order already; a stable sort leaves sorted
+	// input as it is, so only out-of-order input is sorted.
+	tasks := p.tasks
+	if !sortedByName(tasks) {
+		sortByName(tasks)
 	}
 
 	// Chip-level allocation is the time-weighted average over sections
 	// (paper Eq. 2); store the weighted means as the allocation row.
 	wPCU, wPMU := weightedAlloc(tasks)
-	notes := []string{
-		fmt.Sprintf("mode=%s sections=%d tp=%d", mode, len(secs), tp),
-	}
-	if sh := countShards(secs); sh > 0 {
-		notes = append(notes, fmt.Sprintf("lm-head shard sections=%d", sh))
+	notes := make([]string, 1, 2)
+	notes[0] = "mode=" + mode.String() + " sections=" + strconv.Itoa(len(tasks)) + " tp=" + strconv.Itoa(tp)
+	if p.shards > 0 {
+		notes = append(notes, "lm-head shard sections="+strconv.Itoa(p.shards))
 	}
 
 	return &platform.CompileReport{
@@ -170,6 +189,42 @@ func (s *Sim) report(spec platform.TrainSpec, mode platform.CompileMode, tp int,
 	}, nil
 }
 
+// sortedByName reports whether no task's name sorts before its
+// predecessor's.
+func sortedByName(tasks []platform.Task) bool {
+	for i := 1; i < len(tasks); i++ {
+		if tasks[i].Name < tasks[i-1].Name {
+			return false
+		}
+	}
+	return true
+}
+
+// sortByName stable-sorts tasks by name. It sorts an index permutation,
+// then moves each task once along the permutation's cycles; swapping
+// the tasks themselves would copy each one many times.
+func sortByName(tasks []platform.Task) {
+	var buf [64]int
+	perm := buf[:0]
+	for i := range tasks {
+		perm = append(perm, i)
+	}
+	slices.SortStableFunc(perm, func(a, b int) int { return strings.Compare(tasks[a].Name, tasks[b].Name) })
+	// The task at perm[j] belongs at j; -1 marks a placed slot.
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
+		}
+		t, j := tasks[i], i
+		for perm[j] != i {
+			k := perm[j]
+			tasks[j], perm[j] = tasks[k], -1
+			j = k
+		}
+		tasks[j], perm[j] = t, -1
+	}
+}
+
 // switchOverhead is the per-invocation fabric reconfiguration cost.
 func switchOverhead(mode platform.CompileMode) float64 {
 	switch mode {
@@ -184,7 +239,7 @@ func switchOverhead(mode platform.CompileMode) float64 {
 
 // sectionTime is one invocation's wall time (excluding switch
 // overhead): the max of compute time and DDR streaming time.
-func sectionTime(sec *section, pcus float64, spec platform.TrainSpec, tp int) float64 {
+func sectionTime(sec *section, pcus float64, f precision.Format, tp int) float64 {
 	if pcus <= 0 {
 		return math.Inf(1)
 	}
@@ -199,7 +254,7 @@ func sectionTime(sec *section, pcus float64, spec platform.TrainSpec, tp int) fl
 	// The precision factor applies to the whole streaming pipeline:
 	// mixed precision accelerates the datapath and halves optimizer
 	// DDR traffic; FP32 doubles both (Table IV).
-	return math.Max(comp, mem) / precFactor(spec.Precision)
+	return math.Max(comp, mem) / precFactor(f)
 }
 
 // weightedAlloc computes the Eq. 2 time-weighted PCU and PMU
@@ -208,8 +263,10 @@ func sectionTime(sec *section, pcus float64, spec platform.TrainSpec, tp int) fl
 // why O0/O1 allocation drifts down slightly with depth (Figure 7a).
 func weightedAlloc(tasks []platform.Task) (pcu, pmu float64) {
 	var num1, num2, den float64
-	for _, t := range tasks {
-		w := float64(t.Runtime) * effInvocations(t)
+	var eff overlap
+	for i := range tasks {
+		t := &tasks[i]
+		w := float64(t.Runtime) * eff.of(t.Invocations)
 		num1 += w * t.Units.PCU / PCUs
 		num2 += w * t.Units.PMU / PMUs
 		den += w
@@ -220,13 +277,26 @@ func weightedAlloc(tasks []platform.Task) (pcu, pmu float64) {
 	return num1 / den, num2 / den
 }
 
-// effInvocations applies the merged-mode overlap exponent.
-func effInvocations(t platform.Task) float64 {
-	inv := float64(t.Invocations)
+// overlap applies the merged-mode overlap exponent to invocation
+// counts. Every decoder section of a report runs L times (O0, O1) or
+// once (O3), so it keeps the power of the last count it saw: one
+// math.Pow per distinct count rather than one per task, each the same
+// call on the same input.
+type overlap struct {
+	inv int
+	eff float64
+}
+
+// of returns the effective invocation count of a task invoked inv
+// times: inv^o0MatmulInvOverlapExp, or 1 for inv ≤ 1.
+func (o *overlap) of(inv int) float64 {
 	if inv <= 1 {
 		return 1
 	}
-	return math.Pow(inv, o0MatmulInvOverlapExp)
+	if inv != o.inv {
+		o.inv, o.eff = inv, math.Pow(float64(inv), o0MatmulInvOverlapExp)
+	}
+	return o.eff
 }
 
 // Run implements platform.Platform.
@@ -244,8 +314,10 @@ func (s *Sim) Run(cr *platform.CompileReport) (*platform.RunReport, error) {
 	// weighted sum, plus the fixed host orchestration cost (whose
 	// amortization makes TFLOPs rise with depth, Figure 9b).
 	var stepTime, traffic float64
-	for _, t := range cr.Tasks {
-		stepTime += float64(t.Runtime) * effInvocations(t)
+	var eff overlap
+	for i := range cr.Tasks {
+		t := &cr.Tasks[i]
+		stepTime += float64(t.Runtime) * eff.of(t.Invocations)
 		traffic += float64(t.Traffic) * float64(t.Invocations)
 	}
 	if stepTime <= 0 {
@@ -321,7 +393,9 @@ func (s *Sim) LoadImbalance(cr *platform.CompileReport) (float64, error) {
 		return metrics.LoadImbalance(tasks)
 	}
 	var rows []metrics.WeightedLI
-	for _, t := range cr.Tasks {
+	var eff overlap
+	for i := range cr.Tasks {
+		t := &cr.Tasks[i]
 		ops := measurable(t.Ops)
 		if len(ops) == 0 {
 			continue
@@ -332,7 +406,7 @@ func (s *Sim) LoadImbalance(cr *platform.CompileReport) (float64, error) {
 		}
 		rows = append(rows, metrics.WeightedLI{
 			Name:    t.Name,
-			Runtime: units.Seconds(float64(t.Runtime) * effInvocations(t)),
+			Runtime: units.Seconds(float64(t.Runtime) * eff.of(t.Invocations)),
 			LI:      li,
 		})
 	}
@@ -351,14 +425,4 @@ func measurable(ops []metrics.TaskSample) []metrics.TaskSample {
 
 func unmeasurable(o metrics.TaskSample) bool {
 	return o.Throughput <= 0 || math.IsInf(o.Throughput, 1)
-}
-
-func countShards(secs []section) int {
-	n := 0
-	for _, s := range secs {
-		if s.kind == "shard" {
-			n++
-		}
-	}
-	return n
 }

@@ -3,6 +3,7 @@ package wse
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"dabench/internal/graph"
@@ -80,10 +81,10 @@ func buildKernels(cfg model.Config, seq int) []kernel {
 	embedIO := (2*h + 4) * math.Pow(h/768.0, 0.8)
 	ks = append(ks, kernel{name: "embedding", workPerToken: embedWork, ioBytesPerToken: embedIO})
 	for l := 0; l < cfg.NumLayers; l++ {
-		prefix := graph.LayerPrefix(l)
+		names := layerKernelNames(l)
 		ks = append(ks,
-			kernel{name: prefix + "attention", attention: true, decoder: true, workPerToken: attnWork},
-			kernel{name: prefix + "ffn", decoder: true, workPerToken: ffnWork},
+			kernel{name: names.attention, attention: true, decoder: true, workPerToken: attnWork},
+			kernel{name: names.ffn, decoder: true, workPerToken: ffnWork},
 		)
 	}
 	// The head's scatter fan-out shrinks rapidly for narrower models
@@ -93,6 +94,30 @@ func buildKernels(cfg model.Config, seq int) []kernel {
 	ks = append(ks, kernel{name: "head", workPerToken: headWork, demandBoost: headBoost})
 	return ks
 }
+
+// kernelNames holds decoder layer l's kernel names.
+type kernelNames struct{ attention, ffn string }
+
+// layerKernelNames returns "L<l>/attention" and "L<l>/ffn". The first
+// layers' names come from a precomputed table, like graph.LayerPrefix's,
+// so a compile does not rebuild them; deeper layers concatenate.
+func layerKernelNames(l int) kernelNames {
+	if l >= 0 && l < len(kernelNameTable) {
+		return kernelNameTable[l]
+	}
+	prefix := graph.LayerPrefix(l)
+	return kernelNames{prefix + "attention", prefix + "ffn"}
+}
+
+// kernelNameTable covers every layer count the paper sweeps (≤ 128).
+var kernelNameTable = func() [128]kernelNames {
+	var t [128]kernelNames
+	for l := range t {
+		prefix := graph.LayerPrefix(l)
+		t[l] = kernelNames{prefix + "attention", prefix + "ffn"}
+	}
+	return t
+}()
 
 // refWork is the reference attention kernel's work (GPT-2 HS 768,
 // S 1024), the unit of the allocation curve. The reference kernel set
@@ -134,8 +159,11 @@ func usableFrac(layers int) float64 {
 // jitter returns the deterministic placement-quantization factor for
 // kernel index i, in [1-allocJitter, 1+allocJitter].
 func jitter(i int) float64 {
-	// Small multiplicative hash → uniform-ish in [0,1).
-	x := math.Mod(float64(i)*0.6180339887498949+0.137, 1.0)
+	// Small multiplicative hash → uniform-ish in [0,1). For x ≥ 0,
+	// x−⌊x⌋ is exactly math.Mod(x, 1): the difference is representable,
+	// so IEEE subtraction returns it unrounded.
+	x := float64(i)*0.6180339887498949 + 0.137
+	x -= math.Floor(x)
 	return 1 + allocJitter*(2*x-1)
 }
 
@@ -183,7 +211,8 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 		}
 	}
 
-	notes := []string{fmt.Sprintf("kernels=%d replicas=%d", len(kernels), replicas)}
+	notes := make([]string, 1, 4)
+	notes[0] = "kernels=" + strconv.Itoa(len(kernels)) + " replicas=" + strconv.Itoa(replicas)
 
 	// Elastic shrink-to-fit: decoder kernels scale down first; if the
 	// fixed kernels alone exceed the budget, everything scales.
@@ -196,13 +225,13 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 					kernels[i].pes = math.Max(kernels[i].pes*scale, minKernelPEs)
 				}
 			}
-			notes = append(notes, fmt.Sprintf("elastic shrink: decoder kernels scaled to %.2f of optimum", scale))
+			notes = append(notes, "elastic shrink: decoder kernels scaled to "+strconv.FormatFloat(scale, 'f', 2, 64)+" of optimum")
 		} else {
 			scale := computeBudget / (fixedDemand + varDemand)
 			for i := range kernels {
 				kernels[i].pes = math.Max(kernels[i].pes*scale, minKernelPEs)
 			}
-			notes = append(notes, fmt.Sprintf("global shrink: all kernels scaled to %.2f of optimum", scale))
+			notes = append(notes, "global shrink: all kernels scaled to "+strconv.FormatFloat(scale, 'f', 2, 64)+" of optimum")
 		}
 	}
 
@@ -259,7 +288,7 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 	act := desiredAct
 	if act > free {
 		act = free
-		notes = append(notes, fmt.Sprintf("activation region limited to %s of desired %s", act, desiredAct))
+		notes = append(notes, "activation region limited to "+act.String()+" of desired "+desiredAct.String())
 	}
 	mem := platform.MemoryUse{
 		Capacity:    MemBytes,
