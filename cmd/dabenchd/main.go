@@ -47,10 +47,9 @@
 // describing which internal operations fail, how, and how often, and
 // refuses to load unless -allow-faults acknowledges the intent. Under
 // injected faults the daemon degrades rather than fails: store I/O is
-// retried and circuit-broken, failing job chunks get 3 attempts
-// (backoff from 50ms) and are then quarantined into a failed_chunks
-// manifest, and /healthz reports per-component degraded state. See
-// DESIGN.md "Failure model".
+// retried and circuit-broken, and /healthz reports per-component
+// degraded state. A failing job chunk fails its job. See DESIGN.md
+// "Failure model".
 //
 // With -data-dir the daemon is durable: each cold /v1/run persists its
 // outcome and response bytes as one frame in a content-addressed store
@@ -91,7 +90,6 @@ import (
 	"time"
 
 	"dabench/internal/cluster"
-	"dabench/internal/experiments"
 	"dabench/internal/faults"
 	"dabench/internal/provenance"
 	"dabench/internal/server"
@@ -215,10 +213,8 @@ func run(args []string) error {
 		Injector:        inj,
 	}
 	// The one injector reaches every hook tier: the store's I/O sites
-	// (via Options), the compile path (via the experiments seam), and
+	// (via Options), the fabric's peer calls (via cluster.Config), and
 	// the job journal + chunk executor (via server.Config above).
-	experiments.SetFaultInjector(inj)
-	defer experiments.SetFaultInjector(nil)
 	if *dataDir != "" {
 		// The provenance chain opens before the store so its Close defers
 		// after the store's flush — the last write-behind blobs append

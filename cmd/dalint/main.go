@@ -1,8 +1,8 @@
-// Command dalint is dabench's project-invariant checker: five custom
+// Command dalint is dabench's project-invariant checker: four custom
 // analyzers (internal/analysis) that mechanize rules earlier changes
-// established by convention — fault hooks outside memo cells,
-// ValidAddr ahead of path handling, no fresh root contexts on request
-// paths, no mixed atomic/direct access, no I/O under hot locks.
+// established by convention — ValidAddr ahead of path handling, no
+// fresh root contexts on request paths, no mixed atomic/direct access,
+// no I/O under hot locks.
 //
 // It runs one way, as a vettool, so cmd/go plans the build and caches
 // the verdicts:

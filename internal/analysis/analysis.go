@@ -1,15 +1,15 @@
 // Package analysis is dabench's project-invariant analyzer suite: the
 // codebase's unwritten rules, mechanized. Several correctness
 // invariants used to live only in test suites and review comments —
-// fault hooks must fire outside memo.Cache.Do so injected errors never
-// poison cells, every externally supplied blob address must pass
-// store.ValidAddr before touching a path. Such rules get broken by the
-// next change, not this one, so each is an analyzer here and
-// cmd/dalint runs the whole suite at `go vet -vettool` time.
+// every externally supplied blob address must pass store.ValidAddr
+// before touching a path, request paths must thread the caller's
+// context. Such rules get broken by the next change, not this one, so
+// each is an analyzer here and cmd/dalint runs the whole suite at
+// `go vet -vettool` time.
 //
 // The framework is a deliberate, stdlib-only miniature of
 // golang.org/x/tools/go/analysis: the module has no third-party
-// dependencies, and the five analyzers need nothing the standard
+// dependencies, and the four analyzers need nothing the standard
 // library's go/ast + go/types cannot provide. An Analyzer inspects one
 // type-checked package through a Pass and reports Diagnostics. There
 // is one driver, the vettool protocol in unitchecker.go; the fixture
@@ -50,7 +50,6 @@ func All() []*Analyzer {
 		AddrGate,
 		AtomicPtr,
 		LockHeldIO,
-		MemoFault,
 		NoCtxBg,
 	}
 }

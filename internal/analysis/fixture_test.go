@@ -240,7 +240,6 @@ func TestAddrGateClusterFixture(t *testing.T) {
 }
 func TestAtomicPtrFixture(t *testing.T)  { runFixture(t, AtomicPtr, "atomicptr") }
 func TestLockHeldIOFixture(t *testing.T) { runFixture(t, LockHeldIO, "dabench/internal/telemetry") }
-func TestMemoFaultFixture(t *testing.T)  { runFixture(t, MemoFault, "memofault") }
 func TestNoCtxBgFixture(t *testing.T)    { runFixture(t, NoCtxBg, "dabench/internal/jobs") }
 
 // TestNoCtxBgUngatedPackage pins the gate itself: the same violating

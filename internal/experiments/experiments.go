@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"dabench/internal/core"
-	"dabench/internal/faults"
 	"dabench/internal/gpu"
 	"dabench/internal/graph"
 	"dabench/internal/ipu"
@@ -141,21 +140,12 @@ func SetResultStore(rs platform.ResultStore) {
 	rebuildLocked()
 }
 
-// SetFaultInjector mounts (or, with nil, unmounts) a fault injector on
-// the shared pipeline: the compile hook inside every cached platform.
-// It rides beside SetResultStore as the one seam both CLIs use, so a
-// -fault-spec flag reaches every tier the store's own Options.Injector
-// does not cover.
-func SetFaultInjector(in *faults.Injector) {
-	platform.SetFaultInjector(in)
-}
-
 // SetStageHook mounts (or, with nil, unmounts) the pipeline stage
 // observer on the shared platforms — fired around every real Compile
 // and Run (never on cache hits), with the platform name, stage and
 // wall-clock duration. The server's /metrics stage histograms are the
-// intended consumer; like the fault seam above, it survives the
-// rebuilds SetResultStore triggers.
+// intended consumer; it survives the rebuilds SetResultStore
+// triggers.
 func SetStageHook(fn platform.StageHook) {
 	platform.SetStageHook(fn)
 }

@@ -1,13 +1,13 @@
 // Package faults is the deterministic fault-injection layer behind the
 // framework's resilience machinery. Nothing in the pipeline can be
 // *tested* for graceful degradation unless something can make its I/O
-// fail on demand — so the store, the job journal, the compile path and
-// the job executor each carry one nil-checked *Injector hook, and this
+// fail on demand — so the store, the job journal, the job executor and
+// the cluster fabric each carry one nil-checked *Injector hook, and this
 // package supplies the injector: a seedable, rule-based fault source
 // that components consult at their syscall boundaries.
 //
 // A rule matches one operation class (store read/write/remove, journal
-// append/fsync, compile, chunk run) and fires with a configured
+// append/fsync, chunk run, peer fetch) and fires with a configured
 // probability, bounded by an optional fire-count budget, producing one
 // of five fault kinds:
 //
@@ -52,7 +52,6 @@ const (
 	OpStoreRemove   Op = "store.remove"   // result-store eviction/drop unlink
 	OpJournalAppend Op = "journal.append" // job-journal line write
 	OpJournalSync   Op = "journal.sync"   // job-journal fsync
-	OpCompile       Op = "compile"        // one platform compile
 	OpChunkRun      Op = "chunk.run"      // one async-job chunk execution
 	OpPeerFetch     Op = "peer.fetch"     // one cluster peer HTTP call (gossip probe or blob fetch)
 )
@@ -60,7 +59,7 @@ const (
 var validOps = map[Op]bool{
 	OpStoreRead: true, OpStoreWrite: true, OpStoreRemove: true,
 	OpJournalAppend: true, OpJournalSync: true,
-	OpCompile: true, OpChunkRun: true, OpPeerFetch: true,
+	OpChunkRun: true, OpPeerFetch: true,
 }
 
 // Kind is the failure mode a fired rule produces.
@@ -160,12 +159,6 @@ func (e *InjectedError) Unwrap() error {
 	}
 }
 
-// IsInjected reports whether err originated from an Injector.
-func IsInjected(err error) bool {
-	var ie *InjectedError
-	return errors.As(err, &ie)
-}
-
 // IsCorrupt reports whether err is an injected corruption fault — the
 // one kind a read hook translates into garbage payload bytes rather
 // than an I/O error.
@@ -203,7 +196,7 @@ func New(spec Spec) (*Injector, error) {
 	in := &Injector{rng: rand.New(rand.NewSource(seed)), seed: seed}
 	for i, r := range spec.Rules {
 		if !validOps[r.Op] {
-			return nil, fmt.Errorf("faults: rule %d: unknown op %q (valid: store.read, store.write, store.remove, journal.append, journal.sync, compile, chunk.run, peer.fetch)", i, r.Op)
+			return nil, fmt.Errorf("faults: rule %d: unknown op %q (valid: store.read, store.write, store.remove, journal.append, journal.sync, chunk.run, peer.fetch)", i, r.Op)
 		}
 		r.Kind = canonicalKind(r.Kind)
 		if !validKinds[r.Kind] {

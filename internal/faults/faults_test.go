@@ -32,10 +32,10 @@ func TestValidation(t *testing.T) {
 // TestDelayBound: a delay_ms whose stall would wrap time.Duration to
 // 0 ns is rejected, and one hour is the largest delay accepted.
 func TestDelayBound(t *testing.T) {
-	if _, err := Parse([]byte(`{"rules":[{"op":"compile","kind":"slow","delay_ms":9300000000000}]}`)); err == nil {
+	if _, err := Parse([]byte(`{"rules":[{"op":"chunk.run","kind":"slow","delay_ms":9300000000000}]}`)); err == nil {
 		t.Error("Parse accepted a delay_ms that wraps time.Duration")
 	}
-	in, err := Parse([]byte(`{"rules":[{"op":"compile","kind":"slow","delay_ms":3600000}]}`))
+	in, err := Parse([]byte(`{"rules":[{"op":"chunk.run","kind":"slow","delay_ms":3600000}]}`))
 	if err != nil {
 		t.Fatalf("Parse rejected a one-hour delay: %v", err)
 	}
@@ -139,8 +139,9 @@ func TestErrorKindsWrapSentinels(t *testing.T) {
 		if !errors.Is(got, tc.want) {
 			t.Errorf("kind %s: errors.Is(%v, %v) = false", tc.kind, got, tc.want)
 		}
-		if !IsInjected(got) {
-			t.Errorf("kind %s: IsInjected = false", tc.kind)
+		var ie *InjectedError
+		if !errors.As(got, &ie) {
+			t.Errorf("kind %s: %v is not an *InjectedError", tc.kind, got)
 		}
 	}
 }
@@ -154,12 +155,12 @@ func TestCorruptAndSlowKinds(t *testing.T) {
 		t.Errorf("IsCorrupt(%v) = false", got)
 	}
 
-	in, err = New(Spec{Rules: []Rule{{Op: OpCompile, Kind: KindSlow, DelayMs: 30}}})
+	in, err = New(Spec{Rules: []Rule{{Op: OpChunkRun, Kind: KindSlow, DelayMs: 30}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if got := in.Fire(OpCompile); got != nil {
+	if got := in.Fire(OpChunkRun); got != nil {
 		t.Errorf("slow rule returned an error: %v", got)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
@@ -178,11 +179,11 @@ func TestNilInjectorNeverFires(t *testing.T) {
 }
 
 func TestLoadFileAndInline(t *testing.T) {
-	if _, err := Load(`{"rules":[{"op":"compile","kind":"timeout"}]}`); err != nil {
+	if _, err := Load(`{"rules":[{"op":"chunk.run","kind":"timeout"}]}`); err != nil {
 		t.Errorf("inline load: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, []byte(`{"rules":[{"op":"compile","kind":"timeout"}]}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"rules":[{"op":"chunk.run","kind":"timeout"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(path); err != nil {

@@ -15,9 +15,9 @@ import (
 //	go test -run '^$' -fuzz FuzzFaultsParse -fuzztime 20s ./internal/faults
 func FuzzFaultsParse(f *testing.F) {
 	for _, spec := range []string{
-		`{"rules":[{"op":"compile","kind":"slow","delay_ms":9300000000000}]}`,
-		`{"rules":[{"op":"compile","kind":"slow","delay_ms":3600000}]}`,
-		`{"rules":[{"op":"compile","kind":"slow","delay_ms":-1}]}`,
+		`{"rules":[{"op":"chunk.run","kind":"slow","delay_ms":9300000000000}]}`,
+		`{"rules":[{"op":"chunk.run","kind":"slow","delay_ms":3600000}]}`,
+		`{"rules":[{"op":"chunk.run","kind":"slow","delay_ms":-1}]}`,
 		`{"rules":[{"op":"chunk.run","kind":"slow","delay_ms":400}]}`,
 		`{"seed":42,"rules":[{"op":"store.write","kind":"EIO","probability":0.3,"count":10,"delay_ms":0}]}`,
 		`{"seed":7,"rules":[{"op":"store.read","kind":"corrupt","probability":0.5},{"op":"store.read","kind":"slow"},{"op":"journal.sync","kind":"enospc","count":2}]}`,
@@ -25,7 +25,7 @@ func FuzzFaultsParse(f *testing.F) {
 		`{"rules":[{"op":"disk.write","kind":"EIO"}]}`,
 		`{"rules":[]}`,
 	} {
-		f.Add([]byte(spec), "compile")
+		f.Add([]byte(spec), "chunk.run")
 	}
 	f.Fuzz(func(t *testing.T, spec []byte, op string) {
 		in, err := Parse(spec)

@@ -11,6 +11,7 @@ package model
 
 import (
 	"fmt"
+	"strconv"
 
 	"dabench/internal/precision"
 	"dabench/internal/units"
@@ -112,7 +113,7 @@ func (c Config) HeadDim() int { return c.HiddenSize / c.NumHeads }
 // primary sweep axis of the paper's Tier-1 experiments.
 func (c Config) WithLayers(n int) Config {
 	c.NumLayers = n
-	c.Name = fmt.Sprintf("%s-L%d", baseName(c.Name), n)
+	c.Name = baseName(c.Name) + "-L" + strconv.Itoa(n)
 	return c
 }
 

@@ -67,13 +67,6 @@ func (c *cached) HardwareSpec() Spec { return c.p.HardwareSpec() }
 func (c *cached) Unwrap() Platform   { return c.p }
 
 func (c *cached) Compile(spec TrainSpec) (*CompileReport, error) {
-	// The fault hook fires BEFORE the memo cell: the cell caches errors
-	// (deterministic simulators make that sound), but an injected fault
-	// is transient by definition — letting it into the cell would pin
-	// the failure onto that spec for the process lifetime.
-	if err := fireCompileFault(); err != nil {
-		return nil, err
-	}
 	key := spec.Key()
 	return c.compile.Do(key, func() (*CompileReport, error) {
 		if c.rs != nil {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"dabench/internal/faults"
 	"dabench/internal/jobs"
@@ -21,18 +20,8 @@ import (
 
 // jobChunk is how many points one journal/progress beat covers: large
 // enough to amortize the bookkeeping, small enough that progress and
-// cancellation stay responsive. It is also the retry/quarantine unit:
-// a failing chunk is retried whole and, past the budget, quarantined
-// whole.
+// cancellation stay responsive.
 const jobChunk = 256
-
-// The chunk retry budget: chunkAttempts tries in all, the waits between
-// them doubling from chunkRetryBackoff. Only injected faults are
-// retried, so the budget serves the fault harness.
-const (
-	chunkAttempts     = 3
-	chunkRetryBackoff = 50 * time.Millisecond
-)
 
 // jobWorkers is the pool width a job's points fan out on: half the
 // process sweep pool, at least one. The other half stays with
@@ -43,41 +32,21 @@ func jobWorkers() int {
 	return max(1, sweep.DefaultWorkers()/2)
 }
 
-// runChunk executes one job chunk [lo, hi) under the chunk retry
-// policy: an injected fault backs off and retries the whole chunk up
-// to chunkAttempts times. Point compiles are memoized, so a retry only
-// re-runs what actually failed. Any other hard error is returned at
-// once: the simulators are pure functions of the spec, so it would
-// recur on every attempt, and context errors must stay prompt. Returns
-// the outcomes, the attempts consumed, and the final error.
-func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]sweep.Outcome[RunResult], int, error) {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		err := s.cfg.Injector.Fire(faults.OpChunkRun)
-		var outs []sweep.Outcome[RunResult]
-		if err == nil {
-			outs, err = sweep.MapN(ctx, hi-lo, func(_ context.Context, i int) (RunResult, error) {
-				spec, _, err := a.point(lo + i)
-				if err != nil {
-					return RunResult{}, err
-				}
-				return runPoint(a.p, spec)
-			}, sweep.Workers(jobWorkers()), sweep.Tolerating(platform.IsCompileFailure))
-		}
-		if err == nil {
-			return outs, attempt, nil
-		}
-		lastErr = err
-		if !faults.IsInjected(err) || ctx.Err() != nil || attempt >= chunkAttempts {
-			return nil, attempt, lastErr
-		}
-		s.chunkRetries.Add(1)
-		select {
-		case <-time.After(chunkRetryBackoff << (attempt - 1)):
-		case <-ctx.Done():
-			return nil, attempt, lastErr
-		}
+// runChunk executes one job chunk [lo, hi). Placement failures are
+// tolerated as failed points; any other error fails the chunk, and
+// with it the job: the simulators are pure functions of the spec, so
+// a rerun would fail the same way.
+func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]sweep.Outcome[RunResult], error) {
+	if err := s.cfg.Injector.Fire(faults.OpChunkRun); err != nil {
+		return nil, err
 	}
+	return sweep.MapN(ctx, hi-lo, func(_ context.Context, i int) (RunResult, error) {
+		spec, _, err := a.point(lo + i)
+		if err != nil {
+			return RunResult{}, err
+		}
+		return runPoint(a.p, spec)
+	}, sweep.Workers(jobWorkers()), sweep.Tolerating(platform.IsCompileFailure))
 }
 
 // handleJobSubmit accepts a SweepRequest of (nearly) any size for
@@ -310,26 +279,12 @@ func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(
 	resp.Results = make([]RunResult, 0, n)
 	for lo := 0; lo < n; lo += jobChunk {
 		hi := min(lo+jobChunk, n)
-		outs, attempts, err := s.runChunk(ctx, a, lo, hi)
+		outs, err := s.runChunk(ctx, a, lo, hi)
 		if err != nil {
-			if ctx.Err() != nil || specRejected(err) {
-				// Cancellation and shutdown keep their wholesale semantics:
-				// the manager turns them into cancelled/revived, and a
-				// quarantine entry would misclassify them as poison. A
-				// rejected spec fails the job with the simulator's message,
-				// as the same request fails a synchronous sweep.
-				return nil, err
-			}
-			// Poison chunk: quarantine it and keep going. The job finishes
-			// done with the surviving chunks' results plus this manifest —
-			// partial data beats losing an hours-long sweep to one chunk.
-			s.chunksQuarantined.Add(1)
-			resp.FailedChunks = append(resp.FailedChunks, ChunkFailure{
-				Chunk: lo / jobChunk, Start: lo, End: hi,
-				Attempts: attempts, Error: err.Error(),
-			})
-			progress(hi, resp.Failed)
-			continue
+			// The manager turns cancellation and shutdown into
+			// cancelled/revived; any other error fails the job with its
+			// message, as the same request fails a synchronous sweep.
+			return nil, err
 		}
 		for i, o := range outs {
 			spec, label, _ := a.point(lo + i)
@@ -346,7 +301,6 @@ func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(
 	}
 
 	// The stored bytes equal a synchronous response body for the same
-	// points (a clean run omits failed_chunks, so the envelopes stay
-	// identical).
+	// points.
 	return marshalJSON(resp)
 }

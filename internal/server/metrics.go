@@ -176,10 +176,6 @@ func (s *Server) collect(e *telemetry.Exposition) {
 	}
 	e.Counter("dabench_jobs_replayed_total", "Jobs revived from the journal on boot.", float64(g.Replayed))
 	e.Counter("dabench_journal_torn_records_total", "Journal lines dropped as corrupt during replay.", float64(g.Torn))
-	e.Counter("dabench_job_chunk_retries_total", "Job chunk attempts beyond the first.",
-		float64(s.chunkRetries.Load()))
-	e.Counter("dabench_job_chunks_quarantined_total", "Job chunks that exhausted their retry budget.",
-		float64(s.chunksQuarantined.Load()))
 
 	// Cluster families are emitted unconditionally — zeros on a single
 	// node — so the exposition shape is identical with and without a

@@ -35,7 +35,11 @@ func serverInjector(t *testing.T, spec faults.Spec) *faults.Injector {
 	return in
 }
 
-func TestChunkRetryRecoversTransientFault(t *testing.T) {
+// TestInjectedChunkFaultFailsJob: a chunk error fails its job, as a
+// rejected spec does. One injected EIO on the only chunk of a 4-point
+// job settles it failed with the injected error's message, and its
+// result answers 409 like any job that is not done.
+func TestInjectedChunkFaultFailsJob(t *testing.T) {
 	in := serverInjector(t, faults.Spec{Rules: []faults.Rule{
 		{Op: faults.OpChunkRun, Kind: faults.KindEIO, Count: 1},
 	}})
@@ -50,84 +54,23 @@ func TestChunkRetryRecoversTransientFault(t *testing.T) {
 	if err := json.Unmarshal(b, &v); err != nil {
 		t.Fatal(err)
 	}
-	waitJobState(t, ts, v.ID, jobs.StateDone)
-
-	var jr SweepResponse
-	if rr := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/result", &jr); rr.StatusCode != http.StatusOK {
-		t.Fatalf("result status = %d", rr.StatusCode)
+	v = waitJobState(t, ts, v.ID, jobs.StateFailed)
+	if !strings.Contains(v.Error, "injected EIO on chunk.run") {
+		t.Errorf("job error = %q, want it to name the injected chunk.run fault", v.Error)
 	}
-	if len(jr.Results) != 4 || len(jr.FailedChunks) != 0 {
-		t.Fatalf("results/failed_chunks = %d/%d, want 4/0 (retry should have absorbed the fault)",
-			len(jr.Results), len(jr.FailedChunks))
+
+	var env errorEnvelope
+	if rr := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/result", &env); rr.StatusCode != http.StatusConflict {
+		t.Fatalf("result status = %d, want 409", rr.StatusCode)
+	}
+	if env.Error.Code != CodeNotReady {
+		t.Errorf("result error code = %q, want %q", env.Error.Code, CodeNotReady)
 	}
 
 	var st Stats
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.ChunkRetries != 1 || st.ChunksQuarantined != 0 {
-		t.Errorf("chunk_retries/quarantined = %d/%d, want 1/0", st.ChunkRetries, st.ChunksQuarantined)
-	}
 	if st.Faults == nil || st.Faults.Fired != 1 {
 		t.Errorf("faults stats = %+v, want fired 1", st.Faults)
-	}
-}
-
-func TestPoisonChunkIsQuarantined(t *testing.T) {
-	// The fault budget equals the chunk retry budget, so chunk 0 burns
-	// every attempt and is quarantined while chunk 1 runs clean — the
-	// acceptance shape: a job with one permanently failing chunk ends
-	// done with a failed_chunks manifest, not failed.
-	const retries = chunkAttempts
-	in := serverInjector(t, faults.Spec{Rules: []faults.Rule{
-		{Op: faults.OpChunkRun, Kind: faults.KindEIO, Count: retries},
-	}})
-	ts := newTestServer(t, Config{Injector: in})
-
-	// 300 points = 2 chunks (256 + 44) of cheap memoized WSE compiles.
-	var batches []string
-	for b := 1; b <= 300; b++ {
-		batches = append(batches, fmt.Sprint(b))
-	}
-	body := `{"platform":"wse","model":"gpt2-small","seq":1024,"layer_counts":[2],"batches":[` +
-		strings.Join(batches, ",") + `]}`
-	resp, b := postJSON(t, ts.URL+"/v1/jobs", body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, b)
-	}
-	var v jobs.View
-	if err := json.Unmarshal(b, &v); err != nil {
-		t.Fatal(err)
-	}
-	done := waitJobState(t, ts, v.ID, jobs.StateDone)
-	if done.Done != 300 {
-		t.Errorf("progress done = %d, want 300 (quarantined points count as processed)", done.Done)
-	}
-
-	var jr SweepResponse
-	if rr := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/result", &jr); rr.StatusCode != http.StatusOK {
-		t.Fatalf("result status = %d", rr.StatusCode)
-	}
-	if len(jr.FailedChunks) != 1 {
-		t.Fatalf("failed_chunks = %+v, want exactly one entry", jr.FailedChunks)
-	}
-	fc := jr.FailedChunks[0]
-	if fc.Chunk != 0 || fc.Start != 0 || fc.End != 256 || fc.Attempts != retries || fc.Error == "" {
-		t.Errorf("manifest entry = %+v, want chunk 0 [0,256) after %d attempts", fc, retries)
-	}
-	if len(jr.Results) != 44 {
-		t.Errorf("partial results = %d, want 44 (the surviving chunk)", len(jr.Results))
-	}
-
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.ChunksQuarantined != 1 || st.ChunkRetries != retries-1 {
-		t.Errorf("quarantined/retries = %d/%d, want 1/%d", st.ChunksQuarantined, st.ChunkRetries, retries-1)
-	}
-
-	// Quarantine is a degraded-mode fact, visible in /healthz.
-	var h healthResponse
-	getJSON(t, ts.URL+"/healthz", &h)
-	if h.Status != "degraded" || h.Components["jobs"].Status != "degraded" {
-		t.Errorf("healthz = %+v, want degraded jobs component", h)
 	}
 }
 

@@ -144,11 +144,8 @@ type Stats struct {
 	BlobUpgrades int64                    `json:"blob_upgrades"`
 	Store        *store.Stats             `json:"store,omitempty"`
 	Jobs         *jobs.Gauges             `json:"jobs,omitempty"`
-	// Resilience counters: chunk-level job retries and quarantines, plus
-	// the fault injector's fire counts when one is mounted.
-	ChunkRetries      int64         `json:"chunk_retries,omitempty"`
-	ChunksQuarantined int64         `json:"chunks_quarantined,omitempty"`
-	Faults            *faults.Stats `json:"faults,omitempty"`
+	// Faults is the fault injector's fire counts when one is mounted.
+	Faults *faults.Stats `json:"faults,omitempty"`
 	// Cluster is the fabric's snapshot (absent on a single node):
 	// peer liveness views and FetchFrame counters (0 on a serving
 	// daemon).
@@ -184,13 +181,11 @@ type Server struct {
 	// servers exist (peer URLs are unknowable before Listen).
 	fabric atomic.Pointer[cluster.Fabric]
 
-	inFlight          atomic.Int64
-	served            atomic.Int64
-	rejected          atomic.Int64
-	notModified       atomic.Int64
-	chunkRetries      atomic.Int64
-	chunksQuarantined atomic.Int64
-	start             time.Time
+	inFlight    atomic.Int64
+	served      atomic.Int64
+	rejected    atomic.Int64
+	notModified atomic.Int64
+	start       time.Time
 }
 
 // New builds a Server over the process-wide cached platform set,
@@ -380,13 +375,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	resp.Components["journal"] = journalHealth
 
-	jobsHealth := componentHealth{Status: "ok"}
-	if q := s.chunksQuarantined.Load(); q > 0 {
-		jobsHealth = componentHealth{Status: "degraded",
-			Detail: strconv.FormatInt(q, 10) + " chunk(s) quarantined; affected jobs carry failed_chunks manifests"}
-	}
-	resp.Components["jobs"] = jobsHealth
-
 	// The cluster component only exists with a fabric attached; a
 	// single-node /healthz body is unchanged. Dead peers degrade this
 	// node's health honestly, though it still serves everything itself.
@@ -436,8 +424,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	gauges := s.jobs.Stats()
 	st.Jobs = &gauges
-	st.ChunkRetries = s.chunkRetries.Load()
-	st.ChunksQuarantined = s.chunksQuarantined.Load()
 	st.Faults = s.cfg.Injector.Stats()
 	st.Cluster = s.cluster().Stats()
 	writeJSON(w, http.StatusOK, st)
@@ -640,23 +626,6 @@ type SweepResponse struct {
 	Points   int         `json:"points"`
 	Failed   int         `json:"failed"`
 	Results  []RunResult `json:"results"`
-	// FailedChunks is an async job's poison-chunk quarantine manifest:
-	// chunks that exhausted their retry budget. The job still finishes
-	// done — the listed point ranges are simply absent from Results.
-	// Always empty on synchronous sweeps (they fail wholesale instead,
-	// preserving their all-or-nothing contract).
-	FailedChunks []ChunkFailure `json:"failed_chunks,omitempty"`
-}
-
-// ChunkFailure is one quarantined chunk: the half-open point range
-// [Start, End) it covered, how many attempts it burned, and the final
-// error.
-type ChunkFailure struct {
-	Chunk    int    `json:"chunk"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	Attempts int    `json:"attempts"`
-	Error    string `json:"error"`
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -885,10 +854,10 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 // specRejected reports whether err, from compiling or running a point
 // whose spec passed validation, rejects that spec. The simulators are
 // pure functions of the spec, so an error that is not a placement
-// failure (a finding), an injected fault, a poisoned memo cell or a
-// context error is the request's fault and recurs on every attempt.
+// failure (a finding), a poisoned memo cell or a context error is the
+// request's fault and recurs on every attempt.
 func specRejected(err error) bool {
-	return !platform.IsCompileFailure(err) && !faults.IsInjected(err) &&
+	return !platform.IsCompileFailure(err) &&
 		!errors.Is(err, memo.ErrPanicked) &&
 		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
