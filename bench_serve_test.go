@@ -63,7 +63,7 @@ func serveOnce(b *testing.B, h http.Handler, req *http.Request, rd *bytes.Reader
 //	run-warm     the response-byte fast lane (L0 hit, zero JSON work)
 //	run-304      the conditional lane (If-None-Match match, no body)
 //	run-slowpath the byte cache disabled — the pre-PR warm path:
-//	             decode, resolve, memoized compile/run, marshal
+//	             decode, resolve, memoized compile, run, marshal
 //
 // run-warm vs run-slowpath is the tentpole's speedup; the allocs/op of
 // run-warm is the zero-copy claim, enforced by CI's bench smoke.

@@ -68,8 +68,6 @@ func BenchmarkAllExperiments(b *testing.B) {
 		g := dabench.ExperimentGraphCacheStats()
 		b.ReportMetric(float64(g.Hits), "graph-hits/op")
 		b.ReportMetric(float64(g.Misses), "graph-builds/op")
-		r := dabench.ExperimentRunCacheStats()
-		b.ReportMetric(float64(r.Hits), "run-hits/op")
 	}
 	b.Run("serial", func(b *testing.B) { runAll(b, 1) })
 	b.Run("parallel", func(b *testing.B) { runAll(b, runtime.GOMAXPROCS(0)) })

@@ -16,7 +16,7 @@
 //
 // Add -csv to print CSV instead of aligned text. Experiment sweeps fan
 // out over -parallel workers (default: all cores) through the shared
-// graph/compile/run caches; per-experiment wall-clock and per-tier
+// graph and compile caches; per-experiment wall-clock and per-tier
 // cache hit/miss stats go to stderr so they never pollute the table
 // streams. -cpuprofile and -memprofile write pprof profiles so perf
 // work on the pipeline stays measurement-driven.
@@ -174,11 +174,10 @@ func runExperiments(args []string) error {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		if !*quiet {
-			s, r, g := res.Cache, res.RunCache, res.GraphCache
-			fmt.Fprintf(os.Stderr, "# %-8s %8.2fms wall (%d workers) · compile cache %d/%d hits (%.0f%%) · run cache %d/%d · graph cache %d/%d\n",
+			s, g := res.Cache, res.GraphCache
+			fmt.Fprintf(os.Stderr, "# %-8s %8.2fms wall (%d workers) · compile cache %d/%d hits (%.0f%%) · graph cache %d/%d\n",
 				id, float64(res.Elapsed.Microseconds())/1000, *parallel,
-				s.Hits, s.Hits+s.Misses, 100*s.HitRate(),
-				r.Hits, r.Hits+r.Misses, g.Hits, g.Hits+g.Misses)
+				s.Hits, s.Hits+s.Misses, 100*s.HitRate(), g.Hits, g.Hits+g.Misses)
 		}
 		// Render is shared with the HTTP server's /v1/experiments
 		// endpoint — the same code path is what keeps the two outputs
@@ -196,11 +195,10 @@ func runExperiments(args []string) error {
 	}
 	if !*quiet {
 		total := experiments.CacheStats()
-		run := experiments.RunCacheStats()
 		g := experiments.GraphCacheStats()
-		fmt.Fprintf(os.Stderr, "# total: compile cache %d/%d hits (%.0f%%) · run cache %d/%d · graph cache %d/%d across %d experiments\n",
+		fmt.Fprintf(os.Stderr, "# total: compile cache %d/%d hits (%.0f%%) · graph cache %d/%d across %d experiments\n",
 			total.Hits, total.Hits+total.Misses, 100*total.HitRate(),
-			run.Hits, run.Hits+run.Misses, g.Hits, g.Hits+g.Misses, len(ids))
+			g.Hits, g.Hits+g.Misses, len(ids))
 		if st != nil {
 			st.Snapshot() // land the write-behind queue so the gauges reflect this run
 			s := st.Stats()

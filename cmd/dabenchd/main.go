@@ -1,6 +1,6 @@
 // Command dabenchd serves the DABench-LLM pipeline as a long-lived
 // HTTP JSON API. Unlike the one-shot dabench CLI, the daemon's
-// graph/compile/run caches live as long as the process: identical
+// graph and compile caches live as long as the process: identical
 // specs coalesce across requests and warm experiment renders cost
 // cache lookups, not simulation.
 //

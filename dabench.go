@@ -242,19 +242,21 @@ func SetSweepWorkers(n int) { sweep.SetDefaultWorkers(n) }
 // SweepWorkers returns the effective sweep pool size.
 func SweepWorkers() int { return sweep.DefaultWorkers() }
 
-// ResetExperimentCaches drops every memoization tier the experiment
-// runners share — the graph build cache, the per-platform compile
-// caches, and the run-report caches — so benchmarks can measure
-// cold-cache runs.
+// ResetExperimentCaches drops both memoization tiers the experiment
+// runners share — the graph build cache and the per-platform compile
+// caches — so benchmarks can measure cold-cache runs.
 func ResetExperimentCaches() { experiments.ResetCaches() }
 
 // ExperimentCacheStats aggregates the experiment runners' shared
 // compile-cache counters.
 func ExperimentCacheStats() CacheStats { return experiments.CacheStats() }
 
-// ExperimentRunCacheStats aggregates the experiment runners' shared
-// run-report cache counters.
-func ExperimentRunCacheStats() CacheStats { return experiments.RunCacheStats() }
+// ExperimentRunCacheStats returns zero counters: Run is not memoized,
+// so there is no run-report cache to count.
+//
+// Deprecated: Run recomputes on every call; read ExperimentCacheStats
+// for the compile tier.
+func ExperimentRunCacheStats() CacheStats { return CacheStats{} }
 
 // ExperimentGraphCacheStats reports the shared graph build cache's
 // counters (the memoization tier below every compile cache).

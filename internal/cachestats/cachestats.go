@@ -1,7 +1,7 @@
 // Package cachestats provides the hit/miss counter snapshot shared by
-// every memoization tier (graph build cache, compile cache, run-report
-// cache). It sits below both internal/graph and internal/platform so
-// neither layer has to import the other to report uniform stats.
+// both memoization tiers (graph build cache and compile cache). It
+// sits below both internal/graph and internal/platform so neither
+// layer has to import the other to report uniform stats.
 package cachestats
 
 // Stats is a snapshot of a cache's hit/miss counters. Snapshot is the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"dabench/internal/gpu"
@@ -14,8 +15,8 @@ import (
 	"dabench/internal/wse"
 )
 
-// TestColdWarmCacheInvariance is the determinism contract of all three
-// memoization tiers (graph → compile → run): a cold-cache render and a
+// TestColdWarmCacheInvariance is the determinism contract of both
+// memoization tiers (graph → compile): a cold-cache render and a
 // warm re-render of every experiment must be byte-identical, serially
 // and on a wide pool. Run under -race in CI, this also exercises
 // concurrent cache hits against in-flight misses.
@@ -87,7 +88,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 			}
 
 			c := platform.Cached(tc.p)
-			// Twice, so the second pass is all cache hits.
+			// Twice, so the second pass is a compile-cache hit.
 			for pass := 0; pass < 2; pass++ {
 				cr, err := c.Compile(tc.spec)
 				if err != nil {
@@ -111,16 +112,95 @@ func TestCachedMatchesUncached(t *testing.T) {
 			if s := c.CacheStats(); s.Hits != 1 || s.Misses != 1 {
 				t.Errorf("compile stats = %+v, want 1 hit / 1 miss", s)
 			}
-			if s := c.RunCacheStats(); s.Hits != 1 || s.Misses != 1 {
-				t.Errorf("run stats = %+v, want 1 hit / 1 miss", s)
+		})
+	}
+}
+
+// TestConcurrentRunsOnSharedReport: Run is not memoized, so many Runs
+// execute at once on the one *CompileReport the compile memo hands
+// out. Each must equal a serial Run, and none may mutate the shared
+// report (the -race run catches a write; the final comparison catches
+// a lasting one).
+func TestConcurrentRunsOnSharedReport(t *testing.T) {
+	cases := []struct {
+		name, platform string
+		spec           platform.TrainSpec
+	}{
+		{"wse", "wse", platform.TrainSpec{
+			Model: model.GPT2Small(), Batch: 512, Seq: 1024, Precision: precision.FP16}},
+		{"rdu-o0", "rdu", platform.TrainSpec{
+			Model: model.GPT2Small().WithLayers(8), Batch: 4, Seq: 1024, Precision: precision.BF16,
+			Par: platform.Parallelism{Mode: platform.ModeO0}}},
+		{"rdu-o1", "rdu", platform.TrainSpec{
+			Model: model.LLaMA2_7B(), Batch: 8, Seq: 4096, Precision: precision.BF16,
+			Par: platform.Parallelism{Mode: platform.ModeO1, TensorParallel: 2}}},
+		{"rdu-o3", "rdu", platform.TrainSpec{
+			Model: model.GPT2Small().WithLayers(8), Batch: 4, Seq: 1024, Precision: precision.BF16,
+			Par: platform.Parallelism{Mode: platform.ModeO3}}},
+		{"ipu", "ipu", platform.TrainSpec{
+			Model: model.GPT2Small().WithLayers(4), Batch: 2048, Seq: 1024, Precision: precision.FP16,
+			Par: platform.Parallelism{PipelineParallel: 4}}},
+		{"gpu", "gpu", platform.TrainSpec{
+			Model: model.GPT2XL(), Batch: 64, Seq: 1024, Precision: precision.BF16,
+			Par: platform.Parallelism{TensorParallel: 8, PipelineParallel: 1, DataParallel: 1}}},
+	}
+	ResetCaches()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, ok := SharedPlatform(tc.platform)
+			if !ok {
+				t.Fatalf("no shared platform %q", tc.platform)
+			}
+			cr, err := p.Compile(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := p.Run(cr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := *serial
+			want.Compile = nil
+
+			const callers = 64
+			got := make([]*platform.RunReport, callers)
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					got[i], errs[i] = p.Run(cr)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for i, rr := range got {
+				if errs[i] != nil {
+					t.Fatalf("run %d: %v", i, errs[i])
+				}
+				v := *rr
+				v.Compile = nil
+				if !reflect.DeepEqual(v, want) {
+					t.Fatalf("run %d diverges from the serial run", i)
+				}
+			}
+			fresh, err := p.Unwrap().Compile(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cr, fresh) {
+				t.Error("concurrent runs mutated the shared compile report")
 			}
 		})
 	}
 }
 
 // TestResultCarriesTierStats asserts the instrument wrapper accounts
-// all three tiers, and that warm re-runs are pure hits on every tier
-// that saw traffic.
+// both tiers, and that warm re-runs are pure hits on every tier that
+// saw traffic.
 func TestResultCarriesTierStats(t *testing.T) {
 	ResetCaches()
 	// figure7 drives the RDU mode grid: compile misses plus graph-cache
@@ -148,20 +228,5 @@ func TestResultCarriesTierStats(t *testing.T) {
 	}
 	if warm.GraphCache.Misses != 0 {
 		t.Errorf("warm run rebuilt graphs: %+v", warm.GraphCache)
-	}
-
-	// figure12's Deployment sweeps revisit compiled points: the run
-	// cache must see traffic and a warm re-run must be pure hits there
-	// too.
-	ResetCaches()
-	if _, err := All()["figure12"](t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	warm12, err := All()["figure12"](t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm12.RunCache.Misses != 0 || warm12.RunCache.Hits == 0 {
-		t.Errorf("warm run-cache stats = %+v, want pure hits", warm12.RunCache)
 	}
 }

@@ -44,9 +44,6 @@ type Result struct {
 	// Cache is the shared compile-cache activity attributable to this
 	// run (hit/miss deltas across all platforms).
 	Cache platform.CacheStats
-	// RunCache is the run-report cache activity attributable to this
-	// run (hit/miss deltas across all platforms).
-	RunCache platform.CacheStats
 	// GraphCache is the graph build-cache activity attributable to this
 	// run (the tier below the compile cache).
 	GraphCache platform.CacheStats
@@ -76,57 +73,22 @@ func rduPlat() platform.CachedPlatform { platMu.RLock(); defer platMu.RUnlock();
 func ipuPlat() platform.CachedPlatform { platMu.RLock(); defer platMu.RUnlock(); return cachedIPU }
 func gpuPlat() platform.CachedPlatform { platMu.RLock(); defer platMu.RUnlock(); return cachedGPU }
 
-// ResetCaches discards every in-memory memoization tier the runners
-// share — the platform compile/run caches and the graph build cache
-// below them — and zeroes all counters, then fires every OnReset hook.
-// Benchmarks use it for cold-cache iterations. The persistent result
-// store, if one is installed, survives: it is the durable tier, dropped
-// only by SetResultStore(nil) or deleting the data directory.
+// ResetCaches discards both in-memory memoization tiers the runners
+// share — the platform compile caches and the graph build cache below
+// them — and zeroes their counters. Benchmarks use it for cold-cache
+// iterations. The persistent result store, if one is installed,
+// survives: it is the durable tier, dropped only by
+// SetResultStore(nil) or deleting the data directory.
 func ResetCaches() {
 	platMu.Lock()
+	defer platMu.Unlock()
 	rebuildLocked()
 	graph.ResetCache()
-	platMu.Unlock()
-
-	resetHookMu.Lock()
-	hooks := make([]func(), 0, len(resetHooks))
-	for _, fn := range resetHooks {
-		hooks = append(hooks, fn)
-	}
-	resetHookMu.Unlock()
-	// Hooks run outside every lock: a hook may itself consult
-	// experiments state without deadlocking.
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
-var (
-	resetHookMu   sync.Mutex
-	resetHooks    = map[int]func(){}
-	nextResetHook int
-)
-
-// OnReset registers fn to run after every ResetCaches, so caches built
-// above this package (the server's response-byte tier) invalidate in
-// lockstep with the tiers below them. The returned cancel unregisters
-// fn — callers that close must cancel, or the hook pins them alive.
-func OnReset(fn func()) (cancel func()) {
-	resetHookMu.Lock()
-	id := nextResetHook
-	nextResetHook++
-	resetHooks[id] = fn
-	resetHookMu.Unlock()
-	return func() {
-		resetHookMu.Lock()
-		delete(resetHooks, id)
-		resetHookMu.Unlock()
-	}
 }
 
 // SetResultStore installs rs as the persistent read-through /
-// write-behind L2 under every shared platform's compile and run tiers
-// (nil uninstalls it). The in-memory cells are rebuilt empty: entries
+// write-behind L2 under every shared platform's compile tier (nil
+// uninstalls it). The in-memory cells are rebuilt empty: entries
 // already computed are either in rs (warm again after one lookup) or
 // recomputable. The CLI's -data-dir routes through this one seam, so a
 // CLI run over a data dir the daemon also uses hits the daemon's
@@ -142,9 +104,9 @@ func SetResultStore(rs platform.ResultStore) {
 
 // SetStageHook mounts (or, with nil, unmounts) the pipeline stage
 // observer on the shared platforms — fired around every real Compile
-// and Run (never on cache hits), with the platform name, stage and
-// wall-clock duration. The server's /metrics stage histograms are the
-// intended consumer; it survives the rebuilds SetResultStore
+// (never on cache hits) and every Run, with the platform name, stage
+// and wall-clock duration. The server's /metrics stage histograms are
+// the intended consumer; it survives the rebuilds SetResultStore
 // triggers.
 func SetStageHook(fn platform.StageHook) {
 	platform.SetStageHook(fn)
@@ -169,36 +131,22 @@ func CacheStats() platform.CacheStats {
 	return s
 }
 
-// RunCacheStats aggregates the run-report cache counters across the
-// four shared platforms.
-func RunCacheStats() platform.CacheStats {
-	platMu.RLock()
-	defer platMu.RUnlock()
-	var s platform.CacheStats
-	for _, c := range []platform.CachedPlatform{cachedWSE, cachedRDU, cachedIPU, cachedGPU} {
-		s = s.Add(c.RunCacheStats())
-	}
-	return s
-}
-
 // GraphCacheStats reports the graph build cache's counters (the shared
 // tier below every platform's compile cache).
 func GraphCacheStats() platform.CacheStats { return graph.Stats() }
 
 // instrument decorates a runner with cache-delta and wall-clock
-// accounting across all three memoization tiers.
+// accounting across both memoization tiers.
 func instrument(f Runner) Runner {
 	return func(ctx context.Context) (*Result, error) {
 		start := time.Now()
 		before := CacheStats()
-		beforeRun := RunCacheStats()
 		beforeGraph := GraphCacheStats()
 		res, err := f(ctx)
 		if err != nil {
 			return nil, err
 		}
 		res.Cache = CacheStats().Sub(before)
-		res.RunCache = RunCacheStats().Sub(beforeRun)
 		res.GraphCache = GraphCacheStats().Sub(beforeGraph)
 		res.Elapsed = time.Since(start)
 		return res, nil

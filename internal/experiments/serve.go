@@ -11,7 +11,7 @@ import (
 // simulator the experiment runners share. Serving layers must go
 // through this accessor rather than wrap their own platform.Cached:
 // one shared set is what makes identical specs coalesce in the
-// singleflight compile/run cells whether they arrive from an
+// singleflight compile cells whether they arrive from an
 // experiment runner, a direct /v1/run request, or a sweep. Vendor
 // aliases match the CLI's.
 func SharedPlatform(name string) (platform.CachedPlatform, bool) {

@@ -7,7 +7,7 @@ import (
 )
 
 // CacheStats is a snapshot of the build cache's hit/miss counters (the
-// shared cachestats.Stats — one type across the graph/compile/run
+// shared cachestats.Stats — one type across the graph and compile
 // tiers).
 type CacheStats = cachestats.Stats
 

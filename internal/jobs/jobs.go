@@ -88,6 +88,10 @@ var (
 	ErrNotFinished = errors.New("jobs: job not finished")
 	ErrFinished    = errors.New("jobs: job already finished")
 	ErrClosed      = errors.New("jobs: manager closed")
+	// ErrNoResult marks a job that will never have a result to fetch:
+	// it failed, was cancelled, or its in-memory result aged out of
+	// the ephemeral retention cap.
+	ErrNoResult = errors.New("jobs: job has no result")
 )
 
 // View is the wire form of a job's observable state.
@@ -406,7 +410,9 @@ func (m *Manager) List() []View {
 	return views
 }
 
-// Result returns a done job's persisted result document.
+// Result returns a done job's persisted result document. A queued or
+// running job's result is ErrNotFinished; a failed or cancelled job's,
+// or an expired ephemeral one, is ErrNoResult.
 func (m *Manager) Result(id string) (json.RawMessage, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -414,15 +420,21 @@ func (m *Manager) Result(id string) (json.RawMessage, error) {
 		m.mu.Unlock()
 		return nil, ErrUnknownJob
 	}
-	state := j.state
+	state, jobErr := j.state, j.err
 	ephemeral, retained := m.ephemeral[id]
 	m.mu.Unlock()
-	if state != StateDone {
+	switch state {
+	case StateDone:
+	case StateFailed:
+		return nil, fmt.Errorf("%w (state %s: %s)", ErrNoResult, state, jobErr)
+	case StateCancelled:
+		return nil, fmt.Errorf("%w (state %s)", ErrNoResult, state)
+	default:
 		return nil, fmt.Errorf("%w (state %s)", ErrNotFinished, state)
 	}
 	if m.journal == nil {
 		if !retained {
-			return nil, fmt.Errorf("jobs: result for %s expired (ephemeral retention keeps the last %d)", id, maxEphemeralResults)
+			return nil, fmt.Errorf("%w (state %s: result expired, ephemeral retention keeps the last %d)", ErrNoResult, state, maxEphemeralResults)
 		}
 		return ephemeral, nil
 	}

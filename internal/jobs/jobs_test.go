@@ -122,8 +122,10 @@ func TestFailedJob(t *testing.T) {
 	if failed.Error != "axis exploded" {
 		t.Errorf("error = %q", failed.Error)
 	}
-	if _, err := m.Result(v.ID); !errors.Is(err, ErrNotFinished) {
-		t.Errorf("Result on failed job err = %v", err)
+	// A failed job will never have a result; the error says why.
+	if _, err := m.Result(v.ID); !errors.Is(err, ErrNoResult) ||
+		!strings.Contains(err.Error(), "state failed") || !strings.Contains(err.Error(), "axis exploded") {
+		t.Errorf("Result on failed job err = %v, want ErrNoResult naming the state and error", err)
 	}
 }
 
@@ -149,6 +151,9 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if _, err := m.Cancel(v.ID); !errors.Is(err, ErrFinished) {
 		t.Errorf("double cancel err = %v", err)
+	}
+	if _, err := m.Result(v.ID); !errors.Is(err, ErrNoResult) || !strings.Contains(err.Error(), "state cancelled") {
+		t.Errorf("Result on cancelled job err = %v, want ErrNoResult naming the state", err)
 	}
 }
 
@@ -608,6 +613,8 @@ func TestEphemeralResultRetentionCap(t *testing.T) {
 	}
 	if _, err := m.Result(first.ID); err == nil || !strings.Contains(err.Error(), "expired") {
 		t.Errorf("oldest ephemeral result not expired: %v", err)
+	} else if !errors.Is(err, ErrNoResult) || !strings.Contains(err.Error(), fmt.Sprint(maxEphemeralResults)) {
+		t.Errorf("expired result err = %v, want ErrNoResult naming the retention cap", err)
 	}
 	// The newest is still retained.
 	views := m.List()

@@ -112,16 +112,6 @@ func LookupBytes[V any](c *ByteLRU[string, V], key []byte) (V, bool) {
 	return n.val, true
 }
 
-// Purge drops every entry, keeping the cumulative counters — it is the
-// invalidation hook, not a stats reset.
-func (c *ByteLRU[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[K]*byteNode[K, V]{}
-	c.head, c.tail = nil, nil
-	c.bytes = 0
-}
-
 // Len returns the entry count.
 func (c *ByteLRU[K, V]) Len() int {
 	c.mu.Lock()

@@ -60,28 +60,6 @@ func TestByteLRUOversizedEntryNotCached(t *testing.T) {
 	}
 }
 
-func TestByteLRUPurgeKeepsCounters(t *testing.T) {
-	c := NewByteLRU[string, int](100)
-	c.Put("a", 1, 10)
-	c.Get("a")
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Purge = %d", c.Len())
-	}
-	st := c.Stats()
-	if st.Bytes != 0 || st.Entries != 0 {
-		t.Errorf("gauges after Purge = %+v, want zero", st)
-	}
-	if st.Hits != 1 {
-		t.Errorf("cumulative hits reset by Purge: %d", st.Hits)
-	}
-	// The list must be fully reset: inserts after Purge behave normally.
-	c.Put("b", 2, 10)
-	if _, ok := c.Get("b"); !ok {
-		t.Error("insert after Purge not retrievable")
-	}
-}
-
 func TestByteLRUConcurrent(t *testing.T) {
 	c := NewByteLRU[string, int](1 << 12)
 	var wg sync.WaitGroup

@@ -1,5 +1,5 @@
 // Package memo provides the generic singleflight memoization cell
-// behind every cache tier (graph build, compile, run-report): one
+// behind both cache tiers (graph build and compile): one
 // lock/map/done-channel implementation with hit/miss counters, so
 // pattern-level fixes land once instead of per tier.
 package memo
@@ -63,22 +63,6 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	defer close(e.done)
 	e.val, e.err = fn()
 	return e.val, e.err
-}
-
-// Seed inserts a pre-resolved successful entry for key — a value
-// recovered from a persistent tier rather than computed. It counts as
-// neither hit nor miss (the persistent tier keeps its own counters) and
-// is a no-op when the key is already present, computed or in flight:
-// an outcome the cell already owns always wins over a recovered one.
-func (c *Cache[K, V]) Seed(key K, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	e := &entry[V]{done: make(chan struct{}), val: val}
-	close(e.done)
-	c.entries[key] = e
 }
 
 // Len returns the number of resolved or in-flight entries.

@@ -110,39 +110,12 @@ func TestDoPanicPoisonsKey(t *testing.T) {
 	}
 }
 
-func TestSeedServesWithoutComputing(t *testing.T) {
-	c := New[string, int]()
-	c.Seed("k", 7)
-	v, err := c.Do("k", func() (int, error) {
-		t.Fatal("fn ran despite seeded entry")
-		return 0, nil
-	})
-	if err != nil || v != 7 {
-		t.Fatalf("Do on seeded key = %v, %v", v, err)
-	}
-	// The seed itself is neither hit nor miss; the Do above is a hit.
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Errorf("stats = %+v, want 1 hit / 0 misses", s)
-	}
-}
-
-func TestSeedDoesNotOverwrite(t *testing.T) {
-	c := New[string, int]()
-	if v, _ := c.Do("k", func() (int, error) { return 1, nil }); v != 1 {
-		t.Fatalf("Do = %d", v)
-	}
-	c.Seed("k", 2)
-	if v, _ := c.Do("k", func() (int, error) { return 3, nil }); v != 1 {
-		t.Errorf("seed overwrote a computed entry: got %d, want 1", v)
-	}
-}
-
 func TestLen(t *testing.T) {
 	c := New[string, int]()
 	if c.Len() != 0 {
 		t.Fatalf("empty Len = %d", c.Len())
 	}
-	c.Seed("a", 1)
+	_, _ = c.Do("a", func() (int, error) { return 1, nil })
 	_, _ = c.Do("b", func() (int, error) { return 2, nil })
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())

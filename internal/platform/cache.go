@@ -13,25 +13,23 @@ type Imbalancer interface {
 }
 
 // CacheStats is a snapshot of a cache's hit/miss counters (the shared
-// cachestats.Stats — one type across the graph/compile/run tiers).
+// cachestats.Stats — one type across the graph and compile tiers).
 type CacheStats = cachestats.Stats
 
-// CachedPlatform is a Platform whose Compile and Run are memoized.
+// CachedPlatform is a Platform whose Compile is memoized.
 type CachedPlatform interface {
 	Platform
 	// CacheStats returns the compile cache's hit/miss counters.
 	CacheStats() CacheStats
-	// RunCacheStats returns the run-report cache's hit/miss counters.
-	RunCacheStats() CacheStats
-	// ResetCache drops all cached reports (compile and run) and zeroes
-	// the counters.
+	// ResetCache drops all cached compile reports and zeroes the
+	// counters.
 	ResetCache()
 	// Unwrap returns the underlying platform.
 	Unwrap() Platform
 }
 
-// Cached wraps p with two concurrency-safe memoization tiers (both
-// memo.Cache singleflight cells).
+// Cached wraps p with a concurrency-safe compile memo (a memo.Cache
+// singleflight cell).
 //
 // Compile: identical TrainSpecs (by TrainSpec.Key) compile once;
 // concurrent callers of an in-flight key block until the single
@@ -42,14 +40,11 @@ type CachedPlatform interface {
 // shared, not copied: callers must treat a CompileReport as immutable
 // (Run already does).
 //
-// Run: Run is a deterministic pure function of the compile report, and
-// the compile cache hands every caller of an identical spec the same
-// *CompileReport — so the run cache keys on pointer identity, which is
-// both allocation-free and exactly as discriminating as a value key for
-// reports that came out of this wrapper. Reports compiled elsewhere
-// simply occupy their own cache slot; correctness only needs the shared
-// immutability contract. Run errors are cached alongside successes for
-// the same determinism reason.
+// Run is not memoized: it is a pure function of the compile report
+// that costs 0.3–2 µs, less than the memo entry that would hold its
+// report for the life of the process. Each call runs the simulator
+// (through the stage hook), so concurrent Runs of one shared report
+// execute side by side.
 //
 // If p natively computes load imbalance (Imbalancer), the wrapper
 // forwards it so core.Profile keeps using the operator-level path.
@@ -59,7 +54,6 @@ type cached struct {
 	p       Platform
 	rs      ResultStore // optional persistent L2; nil = RAM only
 	compile *memo.Cache[string, *CompileReport]
-	run     *memo.Cache[*CompileReport, *RunReport]
 }
 
 func (c *cached) Name() string       { return c.p.Name() }
@@ -74,11 +68,6 @@ func (c *cached) Compile(spec TrainSpec) (*CompileReport, error) {
 				if st.Failed {
 					return nil, &CompileError{Platform: c.p.Name(), Reason: st.FailReason}
 				}
-				if st.Run != nil {
-					// The run report rides along; seed the run cell so
-					// Run on this report is a pure lookup too.
-					c.run.Seed(st.Compile, st.Run)
-				}
 				return st.Compile, nil
 			}
 		}
@@ -88,12 +77,14 @@ func (c *cached) Compile(spec TrainSpec) (*CompileReport, error) {
 		if c.rs != nil {
 			switch {
 			case err == nil:
-				// One write per outcome: the run cell's miss stores
-				// compile and run together (see CachedWithStore). Only a
-				// Run error leaves the compile report to persist alone.
-				if _, rerr := c.Run(cr); rerr != nil {
-					c.rs.Store(c.p.Name(), key, Stored{Compile: cr})
+				// One write per outcome: run the report now and store
+				// compile and run together (see CachedWithStore). Only
+				// a Run error leaves the compile report to persist alone.
+				st := Stored{Compile: cr}
+				if rr, rerr := c.Run(cr); rerr == nil {
+					st.Run = rr
 				}
+				c.rs.Store(c.p.Name(), key, st)
 			case IsCompileFailure(err):
 				// Placement failures are deterministic findings, worth
 				// persisting; validation errors are cheap to rediscover.
@@ -105,24 +96,14 @@ func (c *cached) Compile(spec TrainSpec) (*CompileReport, error) {
 }
 
 func (c *cached) Run(cr *CompileReport) (*RunReport, error) {
-	return c.run.Do(cr, func() (*RunReport, error) {
-		rr, err := observeStage(c.p.Name(), StageRun, func() (*RunReport, error) {
-			return c.p.Run(cr)
-		})
-		if err == nil && c.rs != nil {
-			c.rs.Store(c.p.Name(), cr.Spec.Key(), Stored{Compile: cr, Run: rr})
-		}
-		return rr, err
+	return observeStage(c.p.Name(), StageRun, func() (*RunReport, error) {
+		return c.p.Run(cr)
 	})
 }
 
-func (c *cached) CacheStats() CacheStats    { return c.compile.Stats() }
-func (c *cached) RunCacheStats() CacheStats { return c.run.Stats() }
+func (c *cached) CacheStats() CacheStats { return c.compile.Stats() }
 
-func (c *cached) ResetCache() {
-	c.compile.Reset()
-	c.run.Reset()
-}
+func (c *cached) ResetCache() { c.compile.Reset() }
 
 // cachedImbalancer adds the native-LI forwarding for platforms that
 // implement it; a separate type so a cached WSE does not spuriously

@@ -17,8 +17,8 @@ type Stored struct {
 	FailReason string `json:"fail_reason,omitempty"`
 }
 
-// ResultStore is the persistent L2 tier under the in-memory memo
-// cells: a durable, content-addressed map from (platform name,
+// ResultStore is the persistent L2 tier under the in-memory compile
+// memo: a durable, content-addressed map from (platform name,
 // TrainSpec.Key) to the spec's Stored outcome. Implementations must be
 // safe for concurrent use and are expected to treat corruption as a
 // miss, never an error — the pipeline can always recompute.
@@ -32,28 +32,18 @@ type ResultStore interface {
 }
 
 // CachedWithStore is Cached with a persistent read-through /
-// write-behind tier underneath the in-memory cells: a compile miss in
-// the memo consults rs before running the simulator, and computed
-// outcomes are written behind to rs so the next process starts warm.
-// When a loaded entry already carries its run report, the run cell is
-// seeded too — a fully warm spec costs two map lookups and zero
-// simulation. rs may be nil, which is plain Cached.
+// write-behind tier underneath the compile memo: a compile miss
+// consults rs before running the simulator, and computed outcomes are
+// written behind to rs so the next process starts warm. rs may be nil,
+// which is plain Cached.
 //
-// Each computed outcome is written once. A successful compile miss
-// runs the report through the run cell before returning, and that
-// cell's miss stores compile and run together; the caller's own Run is
-// then a cell hit. A Run costs microseconds while a store write costs
-// a marshal and a file, so this beats persisting a compile-only blob
-// and rewriting it when the run lands. It also means a compile-only
-// caller persists the run report too. The compile cell itself writes
-// only placement failures, plus a compile-only blob when Run fails.
+// Each computed outcome is written once: a successful compile miss
+// runs the report and stores compile and run together (compile alone
+// if Run fails), because a Run costs microseconds and a store write a
+// marshal and a file. Run itself never writes; after a store hit it
+// recomputes from the stored compile report.
 func CachedWithStore(p Platform, rs ResultStore) CachedPlatform {
-	c := &cached{
-		p:       p,
-		rs:      rs,
-		compile: memo.New[string, *CompileReport](),
-		run:     memo.New[*CompileReport, *RunReport](),
-	}
+	c := &cached{p: p, rs: rs, compile: memo.New[string, *CompileReport]()}
 	if li, ok := p.(Imbalancer); ok {
 		return &cachedImbalancer{cached: c, li: li}
 	}

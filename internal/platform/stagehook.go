@@ -24,7 +24,8 @@ type StageHook func(platformName, stage string, d time.Duration)
 // stageHook is package-wide, not per cached wrapper: the cached
 // platforms are rebuilt whenever the result-store seam changes, and the
 // observer must survive those rebuilds. One atomic load + nil
-// compare on the miss path; the hit path never consults it.
+// compare per compile miss and per Run; a compile hit never consults
+// it.
 var stageHook atomic.Pointer[StageHook]
 
 // SetStageHook installs (or, with nil, removes) the pipeline stage

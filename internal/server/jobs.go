@@ -152,6 +152,10 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, jobs.ErrNotFinished):
 		writeError(w, http.StatusConflict, CodeNotReady, err.Error())
 		return
+	case errors.Is(err, jobs.ErrNoResult):
+		// Terminal: unlike not_ready, polling will never change it.
+		writeError(w, http.StatusConflict, CodeConflict, err.Error())
+		return
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dabench/internal/experiments"
+	"dabench/internal/faults"
 	"dabench/internal/jobs"
 	"dabench/internal/store"
 )
@@ -244,6 +245,73 @@ func TestJobCancelEndpoint(t *testing.T) {
 	}
 }
 
+// TestJobWithoutResultIsConflict: a job that will never have a result
+// answers its result with 409 conflict, naming why, so a polling client
+// stops; only queued and running jobs answer not_ready.
+func TestJobWithoutResultIsConflict(t *testing.T) {
+	resultErr := func(t *testing.T, ts *httptest.Server, id string) ErrorBody {
+		t.Helper()
+		var env errorEnvelope
+		if resp := getJSON(t, ts.URL+"/v1/jobs/"+id+"/result", &env); resp.StatusCode != http.StatusConflict {
+			t.Fatalf("result status = %d, want 409", resp.StatusCode)
+		}
+		return env.Error
+	}
+	submit := func(t *testing.T, ts *httptest.Server, body string) jobs.View {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", resp.StatusCode, b)
+		}
+		var v jobs.View
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	const gpuPoint = `{"platform":"gpu","model":"gpt2-small"}`
+
+	t.Run("cancelled", func(t *testing.T) {
+		// The stall holds the job until the cancel lands.
+		in := serverInjector(t, faults.Spec{Rules: []faults.Rule{
+			{Op: faults.OpChunkRun, Kind: faults.KindSlow, DelayMs: 200, Count: 1},
+		}})
+		ts := newTestServer(t, Config{Injector: in})
+		v := submit(t, ts, gpuPoint)
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel status = %d", resp.StatusCode)
+		}
+		waitJobState(t, ts, v.ID, jobs.StateCancelled)
+		if e := resultErr(t, ts, v.ID); e.Code != CodeConflict || !strings.Contains(e.Message, "state cancelled") {
+			t.Errorf("result error = %+v, want %q naming the state", e, CodeConflict)
+		}
+	})
+
+	t.Run("expired", func(t *testing.T) {
+		// A RAM-only server keeps the last 64 job results; one more
+		// job ages the first one out.
+		ts := newTestServer(t, Config{})
+		var first jobs.View
+		for i := 0; i < 65; i++ {
+			v := submit(t, ts, gpuPoint)
+			if i == 0 {
+				first = v
+			}
+			waitJobState(t, ts, v.ID, jobs.StateDone)
+		}
+		if e := resultErr(t, ts, first.ID); e.Code != CodeConflict ||
+			!strings.Contains(e.Message, "expired") || !strings.Contains(e.Message, "64") {
+			t.Errorf("result error = %+v, want %q naming the retention cap", e, CodeConflict)
+		}
+	})
+}
+
 func TestJobListEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/jobs", `{"platform":"wse","model":"gpt2-small"}`)
@@ -275,7 +343,10 @@ func TestStatsReportsStoreAndJobs(t *testing.T) {
 	if stats.Jobs == nil {
 		t.Fatal("stats missing jobs section")
 	}
-	for _, tier := range []string{"compile", "run", "graph"} {
+	if len(stats.Caches) != 2 {
+		t.Errorf("caches = %v, want exactly compile and graph", stats.Caches)
+	}
+	for _, tier := range []string{"compile", "graph"} {
 		if _, ok := stats.Caches[tier]; !ok {
 			t.Errorf("stats missing cache tier %q", tier)
 		}

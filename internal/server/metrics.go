@@ -106,7 +106,6 @@ func (s *Server) collect(e *telemetry.Exposition) {
 		st   platform.CacheStats
 	}{
 		{"compile", experiments.CacheStats()},
-		{"run", experiments.RunCacheStats()},
 		{"graph", experiments.GraphCacheStats()},
 	}
 	for _, t := range tiers {

@@ -38,7 +38,7 @@ func serverInjector(t *testing.T, spec faults.Spec) *faults.Injector {
 // TestInjectedChunkFaultFailsJob: a chunk error fails its job, as a
 // rejected spec does. One injected EIO on the only chunk of a 4-point
 // job settles it failed with the injected error's message, and its
-// result answers 409 like any job that is not done.
+// result answers 409 conflict: it will never have one.
 func TestInjectedChunkFaultFailsJob(t *testing.T) {
 	in := serverInjector(t, faults.Spec{Rules: []faults.Rule{
 		{Op: faults.OpChunkRun, Kind: faults.KindEIO, Count: 1},
@@ -63,8 +63,9 @@ func TestInjectedChunkFaultFailsJob(t *testing.T) {
 	if rr := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/result", &env); rr.StatusCode != http.StatusConflict {
 		t.Fatalf("result status = %d, want 409", rr.StatusCode)
 	}
-	if env.Error.Code != CodeNotReady {
-		t.Errorf("result error code = %q, want %q", env.Error.Code, CodeNotReady)
+	if env.Error.Code != CodeConflict || !strings.Contains(env.Error.Message, "state failed") ||
+		!strings.Contains(env.Error.Message, "injected EIO on chunk.run") {
+		t.Errorf("result error = %+v, want %q naming the state and the job's error", env.Error, CodeConflict)
 	}
 
 	var st Stats

@@ -1,6 +1,6 @@
 // Package server puts the cached compile/run pipeline behind a
 // long-lived HTTP JSON API — the dabenchd daemon. Where the CLI dies
-// with its process, the server's hot state (the graph/compile/run
+// with its process, the server's hot state (the graph and compile
 // singleflight tiers behind experiments.SharedPlatform) amortizes
 // across requests: identical specs coalesce to one compile whether
 // they arrive concurrently or hours apart, and a warm experiment
@@ -164,9 +164,7 @@ type Server struct {
 	scenarios []scenarioInfo
 
 	// resp is the L0 response-byte cache (nil when disabled).
-	// unhookReset detaches resp from experiments.ResetCaches on Close.
-	resp        *memo.ByteLRU[string, *respEntry]
-	unhookReset func()
+	resp *memo.ByteLRU[string, *respEntry]
 
 	// reg is the /metrics registry; stageHist the pre-resolved
 	// (endpoint, stage) histogram grid (nil cells are stages that
@@ -201,9 +199,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RespCacheBudget > 0 {
 		s.resp = memo.NewByteLRU[string, *respEntry](cfg.RespCacheBudget)
-		// L0 holds marshaled copies of what the tiers below compute;
-		// it must drop in lockstep when those tiers are reset.
-		s.unhookReset = experiments.OnReset(s.resp.Purge)
 	}
 	if cfg.Cluster != nil {
 		s.SetCluster(cfg.Cluster)
@@ -211,9 +206,6 @@ func New(cfg Config) (*Server, error) {
 	s.initMetrics()
 	jm, err := jobs.Open(jobs.Config{Dir: cfg.JobsDir, Run: s.runJob, Injector: cfg.Injector})
 	if err != nil {
-		if s.unhookReset != nil {
-			s.unhookReset()
-		}
 		return nil, err
 	}
 	s.jobs = jm
@@ -260,15 +252,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close stops the job manager (running jobs are interrupted; with a
-// JobsDir they revive on the next boot) and detaches the response
-// cache's reset hook. The HTTP listener's drain is the caller's
-// http.Server.Shutdown, done before this.
+// JobsDir they revive on the next boot) and unmounts the stage hook.
+// The HTTP listener's drain is the caller's http.Server.Shutdown, done
+// before this.
 func (s *Server) Close() {
 	experiments.SetStageHook(nil)
-	if s.unhookReset != nil {
-		s.unhookReset()
-		s.unhookReset = nil
-	}
 	s.jobs.Close()
 }
 
@@ -408,7 +396,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Version:      version.Version,
 		Caches: map[string]cachestats.Snapshot{
 			"compile": experiments.CacheStats().Snapshot(),
-			"run":     experiments.RunCacheStats().Snapshot(),
 			"graph":   experiments.GraphCacheStats().Snapshot(),
 		},
 	}

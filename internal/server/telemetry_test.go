@@ -269,10 +269,11 @@ func TestMetricsScrapeRace(t *testing.T) {
 			}
 		}()
 	}
-	body := `{"platform":"wse","model":"gpt2-small","batch":512,"seq":1024,"precision":"FP16"}`
+	// A fresh batch per iteration misses L0, which outlives
+	// ResetCaches, so every iteration compiles.
 	for i := 0; i < 10; i++ {
-		postRun(t, ts, body)
-		experiments.ResetCaches() // also purges L0 via the reset hook
+		postRun(t, ts, `{"platform":"wse","model":"gpt2-small","batch":`+strconv.Itoa(512+i)+`,"seq":1024,"precision":"FP16"}`)
+		experiments.ResetCaches()
 	}
 	close(stop)
 	wg.Wait()

@@ -209,33 +209,6 @@ func TestScenarioGetFastLaneByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRespCacheInvalidatedOnReset: ResetCaches must drop L0 in
-// lockstep with the tiers below it, and the recomputed response stays
-// byte-identical.
-func TestRespCacheInvalidatedOnReset(t *testing.T) {
-	experiments.ResetCaches()
-	ts := newTestServer(t, Config{})
-	_, cold := postRunWith(t, ts.URL, warmRunBody, "")
-	postRunWith(t, ts.URL, warmRunBody, "") // warm L0
-
-	var st Stats
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.RespCache == nil || st.RespCache.Entries == 0 {
-		t.Fatalf("resp_cache before reset = %+v, want entries > 0", st.RespCache)
-	}
-
-	experiments.ResetCaches()
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.RespCache.Entries != 0 || st.RespCache.Bytes != 0 {
-		t.Errorf("resp_cache after reset = %+v, want empty", st.RespCache)
-	}
-
-	resp, again := postRunWith(t, ts.URL, warmRunBody, "")
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(cold, again) {
-		t.Errorf("post-reset run = %d, byte-identical = %v", resp.StatusCode, bytes.Equal(cold, again))
-	}
-}
-
 // TestWarmBytesSurviveRestartViaStore: a second server process (same
 // store, cold L0 and cold memo tiers) serves the first process's
 // response bytes through the store's raw path, byte-identically.

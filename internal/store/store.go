@@ -5,8 +5,8 @@
 // answers a repeat /v1/run without simulating; its sweeps, jobs and
 // scenarios recompute instead, because a blob write costs more than
 // recomputing the point on every platform but the RDU. The CLI's `experiments -data-dir` still
-// mounts the store under the in-memory compile/run memo cells, so a
-// repeat CLI run over the same directory answers from disk.
+// mounts the store under the in-memory compile memo, so a repeat CLI
+// run over the same directory answers its compiles from disk.
 //
 // Addressing: a blob's name is the SHA-256 of the pipeline version,
 // the platform name and the spec's canonical TrainSpec.Key — the full
