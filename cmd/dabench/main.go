@@ -9,7 +9,7 @@
 //	dabench scenario run <file|name>             execute a declarative multi-platform study
 //	dabench scenario list                        list the built-in scenario library
 //	dabench analyze [-csv] trace.jsonl           summarize a saved -trace record stream
-//	dabench provenance verify -data-dir DIR      verify the result-store provenance chain
+//	dabench provenance verify -data-dir DIR      verify a dabenchd data dir's provenance chain
 //	         [-peer URL -node-id NAME]           ...and cross-check it against a cluster peer's remembered tip
 //	dabench list                                 list platforms, models and experiment IDs
 //	dabench version                              print the build version
@@ -19,7 +19,9 @@
 // graph and compile caches; per-experiment wall-clock and per-tier
 // cache hit/miss stats go to stderr so they never pollute the table
 // streams. -cpuprofile and -memprofile write pprof profiles so perf
-// work on the pipeline stays measurement-driven.
+// work on the pipeline stays measurement-driven. The CLI persists
+// nothing: a run recomputes every outcome in memory, which is faster
+// than reading stored outcomes back from disk.
 package main
 
 import (
@@ -104,8 +106,6 @@ func runExperiments(args []string) error {
 	quiet := fs.Bool("q", false, "suppress per-experiment timing/cache stats on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
-	dataDir := fs.String("data-dir", "", "persistent result-store directory (share it with dabenchd's -data-dir to reuse its results)")
-	storeBudget := fs.Int64("store-budget", 256<<20, "result-store on-disk byte budget (LRU eviction; <= 0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -145,11 +145,6 @@ func runExperiments(args []string) error {
 	}
 	sweep.SetDefaultWorkers(*parallel)
 	defer sweep.SetDefaultWorkers(0)
-	st, unmount, err := mountStore(*dataDir, *storeBudget)
-	if err != nil {
-		return err
-	}
-	defer unmount()
 	ids := fs.Args()
 	if len(ids) == 0 {
 		ids = experiments.IDs()
@@ -199,49 +194,8 @@ func runExperiments(args []string) error {
 		fmt.Fprintf(os.Stderr, "# total: compile cache %d/%d hits (%.0f%%) · graph cache %d/%d across %d experiments\n",
 			total.Hits, total.Hits+total.Misses, 100*total.HitRate(),
 			g.Hits, g.Hits+g.Misses, len(ids))
-		if st != nil {
-			st.Snapshot() // land the write-behind queue so the gauges reflect this run
-			s := st.Stats()
-			fmt.Fprintf(os.Stderr, "# store: %d/%d hits · %d puts · %d entries · %d bytes in %s\n",
-				s.Hits, s.Hits+s.Misses, s.Puts, s.Entries, s.Bytes, *dataDir)
-		}
 	}
 	return nil
-}
-
-// mountStore installs the persistent result store under the shared
-// platforms when a data dir is given. The CLI mounts the same
-// content-addressed layout the daemon uses under <data-dir>/store, so
-// a CLI run finds the outcomes of the daemon's /v1/run calls (the only
-// ones the daemon persists) and a repeat CLI run answers from disk.
-// Every blob write appends to the same provenance chain the daemon
-// maintains, so mixed CLI/daemon histories verify as one chain.
-// The cleanup unmounts and flushes; it is safe to call when no store
-// was mounted.
-func mountStore(dataDir string, budget int64) (*store.Store, func(), error) {
-	if dataDir == "" {
-		return nil, func() {}, nil
-	}
-	prov, err := provenance.Open(filepath.Join(dataDir, "provenance.log"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("provenance chain at %s is broken — investigate before writing more results (or move the file aside to start a fresh chain): %w",
-			filepath.Join(dataDir, "provenance.log"), err)
-	}
-	st, err := store.OpenOptions(filepath.Join(dataDir, "store"),
-		store.Options{Budget: budget,
-			OnWrite: func(ev store.WriteEvent) {
-				prov.Append(ev.Addr, ev.Platform, ev.SpecKey, store.PipelineVersion)
-			}})
-	if err != nil {
-		prov.Close()
-		return nil, nil, err
-	}
-	experiments.SetResultStore(st)
-	return st, func() {
-		experiments.SetResultStore(nil)
-		st.Close() // flushes the write-behind queue, appending its last records
-		prov.Close()
-	}, nil
 }
 
 // runProvenance dispatches the provenance subcommands. The chain is the
@@ -385,8 +339,6 @@ func runScenarioRun(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker pool size (1 = serial)")
 	quiet := fs.Bool("q", false, "suppress timing/cache stats on stderr")
-	dataDir := fs.String("data-dir", "", "persistent result-store directory (share it with dabenchd's -data-dir to reuse its results)")
-	storeBudget := fs.Int64("store-budget", 256<<20, "result-store on-disk byte budget (LRU eviction; <= 0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -410,11 +362,6 @@ func runScenarioRun(args []string) error {
 
 	sweep.SetDefaultWorkers(*parallel)
 	defer sweep.SetDefaultWorkers(0)
-	st, unmount, err := mountStore(*dataDir, *storeBudget)
-	if err != nil {
-		return err
-	}
-	defer unmount()
 
 	start := time.Now()
 	before := experiments.CacheStats()
@@ -428,12 +375,6 @@ func runScenarioRun(args []string) error {
 			sc.Name, float64(time.Since(start).Microseconds())/1000, *parallel,
 			out.GridPoints, len(out.Platforms), out.Failed,
 			d.Hits, d.Hits+d.Misses, 100*d.HitRate())
-		if st != nil {
-			st.Snapshot()
-			s := st.Stats()
-			fmt.Fprintf(os.Stderr, "# store: %d/%d hits · %d puts · %d entries · %d bytes in %s\n",
-				s.Hits, s.Hits+s.Misses, s.Puts, s.Entries, s.Bytes, *dataDir)
-		}
 	}
 	return out.Render(os.Stdout, *csv)
 }

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"dabench/internal/experiments"
 	"dabench/internal/platform"
 	"dabench/internal/provenance"
 	"dabench/internal/store"
 
-	dabench "dabench"
 	"io"
 	"os"
 	"path/filepath"
@@ -195,64 +193,25 @@ func TestScenarioRunFromFile(t *testing.T) {
 	}
 }
 
-// TestScenarioDataDirPersists: a scenario run with -data-dir lands its
-// compile/run outcomes in the shared content-addressed store, exactly
-// like the experiments subcommand.
-func TestScenarioDataDirPersists(t *testing.T) {
-	dir := t.TempDir()
-	experiments.ResetCaches()
-	if err := run([]string{"scenario", "run", "-q", "-data-dir", dir, "rdu-build-modes"}); err != nil {
-		t.Fatal(err)
-	}
-	if entries, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.json")); len(entries) == 0 {
-		t.Fatal("scenario run persisted nothing under <data-dir>/store")
-	}
-}
-
-// TestDataDirSharesStoreAcrossRuns is the CLI half of the durability
-// story: a second CLI invocation pointed at the same -data-dir (after
-// the in-memory caches are gone, as across processes) must answer from
-// the persistent store instead of recompiling.
-func TestDataDirSharesStoreAcrossRuns(t *testing.T) {
-	dir := t.TempDir()
-	experiments.ResetCaches()
-	if err := run([]string{"experiments", "-q", "-data-dir", dir, "table1"}); err != nil {
-		t.Fatal(err)
-	}
-	if entries, _ := filepath.Glob(filepath.Join(dir, "store", "*", "*.json")); len(entries) == 0 {
-		t.Fatal("first run persisted nothing under <data-dir>/store")
-	}
-
-	// "New process": drop every in-memory tier, keep the disk. A
-	// second CLI-style run must still succeed end to end...
-	experiments.ResetCaches()
-	if err := run([]string{"experiments", "-q", "-data-dir", dir, "table1"}); err != nil {
-		t.Fatal(err)
-	}
-
-	// ...and a store mounted over the same dir must answer every unique
-	// table1 spec without a single miss (i.e. zero recompiles).
-	experiments.ResetCaches()
-	st2, err := store.Open(filepath.Join(dir, "store"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	experiments.SetResultStore(st2)
-	defer func() {
-		experiments.SetResultStore(nil)
-		st2.Close()
-	}()
-	if _, err := dabench.RunExperiment("table1"); err != nil {
-		t.Fatal(err)
-	}
-	s := st2.Stats()
-	if s.Hits == 0 || s.Misses != 0 {
-		t.Errorf("warm run store stats = %d hits / %d misses, want all hits", s.Hits, s.Misses)
+// TestStoreFlagsAreGone: the CLI mounts no result store, so neither
+// store flag parses on either subcommand that used to take them.
+func TestStoreFlagsAreGone(t *testing.T) {
+	for _, args := range [][]string{
+		{"experiments", "-data-dir", t.TempDir(), "table4"},
+		{"experiments", "-store-budget", "1024", "table4"},
+		{"scenario", "run", "-data-dir", t.TempDir(), "rdu-build-modes"},
+		{"scenario", "run", "-store-budget", "1024", "rdu-build-modes"},
+	} {
+		var err error
+		captureStderr(t, func() { err = run(args) })
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%q: %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 
 // chainedStore opens a store in dir with the provenance hook mounted —
-// the same wiring mountStore and the daemon use — and writes the given
+// the same wiring the daemon uses — and writes the given
 // spec-key → platform blobs through it.
 func chainedStore(t *testing.T, dir string, blobs map[string]string) {
 	t.Helper()
@@ -340,19 +299,6 @@ func TestProvenanceUsage(t *testing.T) {
 	}
 	if err := run([]string{"provenance", "verify"}); err == nil {
 		t.Error("verify without -data-dir should fail")
-	}
-}
-
-// TestExperimentsChainProvenance: a real CLI run with -data-dir leaves
-// behind a chain that verifies against the store it shadowed.
-func TestExperimentsChainProvenance(t *testing.T) {
-	dir := t.TempDir()
-	experiments.ResetCaches()
-	if err := run([]string{"experiments", "-q", "-data-dir", dir, "table1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"provenance", "verify", "-data-dir", dir}); err != nil {
-		t.Fatalf("chain left by an experiments run failed verification: %v", err)
 	}
 }
 

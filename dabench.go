@@ -24,7 +24,9 @@
 //
 // Every table and figure of the paper's evaluation can be regenerated
 // via Experiments / RunExperiment (see also bench_test.go and
-// EXPERIMENTS.md).
+// EXPERIMENTS.md). Everything runs in memory: the shared platforms
+// memoize compiles for the life of the process and persist nothing,
+// because recomputing an outcome costs less than reading it back.
 package dabench
 
 import (
@@ -39,7 +41,6 @@ import (
 	"dabench/internal/precision"
 	"dabench/internal/rdu"
 	"dabench/internal/scenario"
-	"dabench/internal/store"
 	"dabench/internal/sweep"
 	"dabench/internal/wse"
 )
@@ -72,13 +73,6 @@ type (
 	CachedPlatform = platform.CachedPlatform
 	// CacheStats is a compile-cache hit/miss snapshot.
 	CacheStats = platform.CacheStats
-	// ResultStore is the persistent L2 under the in-memory cache tiers
-	// (see OpenResultStore and CachedWithStore).
-	ResultStore = platform.ResultStore
-	// PersistentStore is the on-disk content-addressed ResultStore.
-	PersistentStore = store.Store
-	// StoreStats is a persistent store's counter/gauge snapshot.
-	StoreStats = store.Stats
 )
 
 // Precision formats (paper Table IV).
@@ -208,29 +202,6 @@ func IsCompileFailure(err error) bool { return platform.IsCompileFailure(err) }
 // are exposed via CacheStats. The simulators are deterministic and
 // stateless, so cached reports are indistinguishable from fresh ones.
 func Cached(p Platform) CachedPlatform { return platform.Cached(p) }
-
-// CachedWithStore is Cached with a persistent read-through /
-// write-behind ResultStore under the in-memory cells: compile misses
-// consult the store before simulating, and computed outcomes are
-// written behind so the next process starts warm.
-func CachedWithStore(p Platform, rs ResultStore) CachedPlatform {
-	return platform.CachedWithStore(p, rs)
-}
-
-// OpenResultStore opens (creating if needed) the on-disk
-// content-addressed result store rooted at dir — the same layout the
-// dabenchd daemon and the CLI mount under <data-dir>/store. budget
-// bounds the on-disk footprint in bytes (<= 0: unbounded); the
-// least-recently-used blobs are evicted past it. Close the store to
-// flush its write-behind queue.
-func OpenResultStore(dir string, budget int64) (*PersistentStore, error) {
-	return store.Open(dir, budget)
-}
-
-// SetResultStore installs rs as the persistent tier under the shared
-// experiment platforms (nil uninstalls it); see
-// experiments.SetResultStore for the semantics.
-func SetResultStore(rs ResultStore) { experiments.SetResultStore(rs) }
 
 // SetSweepWorkers sets the process-wide sweep pool size used by the
 // Tier-2 analyses and experiment runners (the CLI's -parallel flag).

@@ -345,7 +345,7 @@ func (f *Fabric) gossipPeer(ctx context.Context, p *peer) {
 
 // getJSON is one bounded, injectable GET + decode.
 func (f *Fabric) getJSON(ctx context.Context, url string, v any) error {
-	if err := f.inj.Fire(faults.OpPeerFetch); err != nil {
+	if err := f.inj.Fire(ctx, faults.OpPeerFetch); err != nil {
 		return err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -462,7 +462,7 @@ var errPeerMiss = errors.New("cluster: peer does not hold the blob")
 
 // fetchBlob is one bounded GET /v1/blobs/{addr} against one peer.
 func (f *Fabric) fetchBlob(ctx context.Context, p *peer, addr string) ([]byte, error) {
-	if err := f.inj.Fire(faults.OpPeerFetch); err != nil {
+	if err := f.inj.Fire(ctx, faults.OpPeerFetch); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, f.fetchTimeout)

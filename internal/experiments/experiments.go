@@ -18,7 +18,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dabench/internal/core"
@@ -59,73 +58,51 @@ type Runner func(ctx context.Context) (*Result, error)
 
 // --- Shared memoized platforms ---------------------------------------------
 
+// The four shared platforms are built once and never replaced:
+// ResetCaches empties their memos in place, so a runner or serving
+// layer can hold one across a reset.
 var (
-	platMu      sync.RWMutex
-	resultStore platform.ResultStore // persistent L2 under every tier; nil = RAM only
-	cachedWSE   = platform.Cached(wse.New())
-	cachedRDU   = platform.Cached(rdu.New())
-	cachedIPU   = platform.Cached(ipu.New())
-	cachedGPU   = platform.Cached(gpu.New())
+	cachedWSE = platform.Cached(wse.New())
+	cachedRDU = platform.Cached(rdu.New())
+	cachedIPU = platform.Cached(ipu.New())
+	cachedGPU = platform.Cached(gpu.New())
+	shared    = []platform.CachedPlatform{cachedWSE, cachedRDU, cachedIPU, cachedGPU}
 )
-
-func wsePlat() platform.CachedPlatform { platMu.RLock(); defer platMu.RUnlock(); return cachedWSE }
-func rduPlat() platform.CachedPlatform { platMu.RLock(); defer platMu.RUnlock(); return cachedRDU }
-func ipuPlat() platform.CachedPlatform { platMu.RLock(); defer platMu.RUnlock(); return cachedIPU }
-func gpuPlat() platform.CachedPlatform { platMu.RLock(); defer platMu.RUnlock(); return cachedGPU }
 
 // ResetCaches discards both in-memory memoization tiers the runners
 // share — the platform compile caches and the graph build cache below
 // them — and zeroes their counters. Benchmarks use it for cold-cache
-// iterations. The persistent result store, if one is installed,
-// survives: it is the durable tier, dropped only by
-// SetResultStore(nil) or deleting the data directory.
+// iterations. A compile in flight across a reset completes against
+// the entry it started on; later callers compute afresh.
 func ResetCaches() {
-	platMu.Lock()
-	defer platMu.Unlock()
-	rebuildLocked()
+	for _, c := range shared {
+		c.ResetCache()
+	}
 	graph.ResetCache()
 }
 
-// SetResultStore installs rs as the persistent read-through /
-// write-behind L2 under every shared platform's compile tier (nil
-// uninstalls it). The in-memory cells are rebuilt empty: entries
-// already computed are either in rs (warm again after one lookup) or
-// recomputable. The CLI's -data-dir routes through this one seam, so a
-// CLI run over a data dir the daemon also uses hits the daemon's
-// persisted /v1/run outcomes. dabenchd itself mounts no store here:
-// its sweep, job and scenario points recompute, because a blob write
-// costs more than recomputing one.
-func SetResultStore(rs platform.ResultStore) {
-	platMu.Lock()
-	defer platMu.Unlock()
-	resultStore = rs
-	rebuildLocked()
-}
+// SetResultStore does nothing: the shared platforms keep no persistent
+// tier, because reading a stored outcome back costs more than
+// recomputing it.
+//
+// Deprecated: ROADMAP item 1 deletes the one remaining call (perfbench's
+// SetResultStore(nil)), then this stub.
+func SetResultStore(any) {}
 
 // SetStageHook mounts (or, with nil, unmounts) the pipeline stage
 // observer on the shared platforms — fired around every real Compile
 // (never on cache hits) and every Run, with the platform name, stage
 // and wall-clock duration. The server's /metrics stage histograms are
-// the intended consumer; it survives the rebuilds SetResultStore
-// triggers.
+// the intended consumer.
 func SetStageHook(fn platform.StageHook) {
 	platform.SetStageHook(fn)
-}
-
-func rebuildLocked() {
-	cachedWSE = platform.CachedWithStore(wse.New(), resultStore)
-	cachedRDU = platform.CachedWithStore(rdu.New(), resultStore)
-	cachedIPU = platform.CachedWithStore(ipu.New(), resultStore)
-	cachedGPU = platform.CachedWithStore(gpu.New(), resultStore)
 }
 
 // CacheStats aggregates the compile-cache counters across the four
 // shared platforms.
 func CacheStats() platform.CacheStats {
-	platMu.RLock()
-	defer platMu.RUnlock()
 	var s platform.CacheStats
-	for _, c := range []platform.CachedPlatform{cachedWSE, cachedRDU, cachedIPU, cachedGPU} {
+	for _, c := range shared {
 		s = s.Add(c.CacheStats())
 	}
 	return s
@@ -194,7 +171,7 @@ func gptSpec(l int) platform.TrainSpec {
 // TableI reproduces "PE allocation ratio across different layer
 // configurations" on the WSE-2.
 func TableI(ctx context.Context) (*Result, error) {
-	sim := wsePlat()
+	sim := cachedWSE
 	tbl := report.New("Table I — WSE-2 PE allocation ratio vs. layer count (GPT-2 HS768)",
 		"Layers", "PE alloc %", "Status")
 	res := &Result{ID: "table1"}
@@ -233,7 +210,7 @@ func TableI(ctx context.Context) (*Result, error) {
 // Figure6 reproduces the WSE-2 PE usage breakdown: computation PEs,
 // transmission PEs, and per-attention-kernel PEs vs. layer count.
 func Figure6(ctx context.Context) (*Result, error) {
-	sim := wsePlat()
+	sim := cachedWSE
 	tbl := report.New("Figure 6 — WSE-2 PE usage breakdown (GPT-2 HS768)",
 		"Layers", "Computation PEs", "Transmission PEs", "PEs per attention kernel")
 	res := &Result{ID: "figure6"}
@@ -337,7 +314,7 @@ func (p modeLayer) spec() platform.TrainSpec {
 // Figure7 reproduces the RDU resource-allocation ratios across layers
 // (a) and hidden sizes (b) under O0/O1/O3.
 func Figure7(ctx context.Context) (*Result, error) {
-	sim := rduPlat()
+	sim := cachedRDU
 	res := &Result{ID: "figure7"}
 	type alloc struct{ pcu, pmu float64 }
 
@@ -398,7 +375,7 @@ func Figure7(ctx context.Context) (*Result, error) {
 // TableII reproduces the O3 layer-partitioning utilizations (a) and
 // the O1 LM-head shard info (b).
 func TableII(ctx context.Context) (*Result, error) {
-	sim := rduPlat()
+	sim := cachedRDU
 	res := &Result{ID: "table2"}
 
 	a := report.New("Table IIa — O3 forward/backward utilization and partition ratio",
@@ -501,8 +478,8 @@ func rduLI(sim platform.Platform, cr *platform.CompileReport) (float64, error) {
 // for the WSE (kernel level) and the RDU O1/O3 (operator level).
 func Figure8(ctx context.Context) (*Result, error) {
 	res := &Result{ID: "figure8"}
-	w := wsePlat()
-	r := rduPlat()
+	w := cachedWSE
+	r := cachedRDU
 
 	a := report.New("Figure 8a — LI vs. layer count", "Platform", "Layers", "LI")
 	layers := []int{4, 12, 24, 36, 48, 60}
@@ -576,7 +553,7 @@ func Figure8(ctx context.Context) (*Result, error) {
 // and hidden size (c), IPU memory and TFLOPs vs. layers (d).
 func Figure9(ctx context.Context) (*Result, error) {
 	res := &Result{ID: "figure9"}
-	w, r, i := wsePlat(), rduPlat(), ipuPlat()
+	w, r, i := cachedWSE, cachedRDU, cachedIPU
 
 	a := report.New("Figure 9a — WSE-2 memory breakdown and TFLOPs (GPT-2 HS768)",
 		"Layers", "Config mem %", "Training mem %", "Total mem %", "TFLOPs")
@@ -711,18 +688,18 @@ func Figure10(ctx context.Context) (*Result, error) {
 		spec  platform.TrainSpec
 	}
 	var pts []rfPt
-	w := wsePlat()
+	w := cachedWSE
 	for _, l := range []int{1, 6, 12, 18, 24, 30, 36, 42} {
 		pts = append(pts, rfPt{w, fmt.Sprintf("%dL", l), gptSpec(l)})
 	}
-	r := rduPlat()
+	r := cachedRDU
 	for _, h := range workload.PaperHiddenPointsLarge() {
 		pts = append(pts, rfPt{r, fmt.Sprintf("H%d", h), platform.TrainSpec{
 			Model: model.DecoderBlock(model.LLaMA2, h).WithLayers(8), Batch: 4, Seq: defaultSeq,
 			Precision: precision.BF16, Par: platform.Parallelism{Mode: platform.ModeO1},
 		}})
 	}
-	i := ipuPlat()
+	i := cachedIPU
 	for _, pt := range []struct {
 		label string
 		l     int
@@ -771,7 +748,7 @@ func TableIII(ctx context.Context) (*Result, error) {
 	var pts []t3Pt
 
 	// WSE-2: intra-chip DP plus weight streaming.
-	w := wsePlat()
+	w := cachedWSE
 	wsePts := []struct {
 		cfg string
 		m   model.Config
@@ -791,7 +768,7 @@ func TableIII(ctx context.Context) (*Result, error) {
 	}
 
 	// IPU: pipeline parallelism over layer ladders.
-	i := ipuPlat()
+	i := cachedIPU
 	ipuPts := []struct {
 		pp, layers int
 	}{{4, 6}, {4, 12}, {8, 18}, {8, 24}, {16, 30}, {16, 36}, {16, 42}, {16, 48}}
@@ -807,7 +784,7 @@ func TableIII(ctx context.Context) (*Result, error) {
 	}
 
 	// RDU: tensor parallelism on LLaMA-2 7B.
-	r := rduPlat()
+	r := cachedRDU
 	for _, tp := range []int{2, 4, 8} {
 		pts = append(pts, t3Pt{
 			p: r, dev: "RDU", cfg: fmt.Sprintf("TP%d", tp), mdl: "llama2-7b", unit: "tokens/s",
@@ -819,7 +796,7 @@ func TableIII(ctx context.Context) (*Result, error) {
 	}
 
 	// GPU reference: Megatron decompositions of GPT-2 XL.
-	g := gpuPlat()
+	g := cachedGPU
 	gpuPts := []struct{ tp, pp, dp int }{
 		{8, 1, 1}, {4, 2, 1}, {2, 4, 1}, {1, 8, 1}, {8, 8, 16}, {4, 4, 64},
 	}
@@ -872,7 +849,7 @@ func Figure11(ctx context.Context) (*Result, error) {
 
 	a := report.New("Figure 11a — WSE throughput vs. replicas (2/small, 4/mini, 8/tiny)",
 		"Replicas", "Throughput tokens/s", "Computation-only tokens/s")
-	w := wsePlat()
+	w := cachedWSE
 	pairs := []struct {
 		repl int
 		m    model.Config
@@ -913,7 +890,7 @@ func Figure11(ctx context.Context) (*Result, error) {
 
 	b := report.New("Figure 11b — RDU utilization vs. TP count (LLaMA-2 7B)",
 		"TP", "PCU %", "PMU %")
-	r := rduPlat()
+	r := cachedRDU
 	tps := []int{2, 4, 8}
 	type alloc struct{ pcu, pmu float64 }
 	bOuts, err := sweep.Map(ctx, tps,
@@ -945,7 +922,7 @@ func Figure11(ctx context.Context) (*Result, error) {
 
 	c := report.New("Figure 11c — IPU throughput vs. layer allocation",
 		"Assignment", "Max layers/IPU", "Samples/s")
-	i := ipuPlat()
+	i := cachedIPU
 	assignments := [][]int{
 		{2}, {4}, {6}, {8},
 		{2, 2, 1, 1, 1, 1}, {1, 1, 1, 1, 2, 2},
@@ -1011,12 +988,12 @@ func Figure12(ctx context.Context) (*Result, error) {
 		batches []int
 	}
 	cases := []f12Case{
-		{wsePlat(), platform.TrainSpec{Model: model.GPT2Small(), Seq: defaultSeq, Batch: 1, Precision: precision.FP16},
+		{cachedWSE, platform.TrainSpec{Model: model.GPT2Small(), Seq: defaultSeq, Batch: 1, Precision: precision.FP16},
 			[]int{25, 50, 100, 200, 400, 800, 1000}},
-		{rduPlat(), platform.TrainSpec{Model: model.LLaMA2_7B(), Seq: 4096, Batch: 1, Precision: precision.BF16,
+		{cachedRDU, platform.TrainSpec{Model: model.LLaMA2_7B(), Seq: 4096, Batch: 1, Precision: precision.BF16,
 			Par: platform.Parallelism{Mode: platform.ModeO1, TensorParallel: 2}},
 			[]int{4, 6, 8, 10, 12, 14, 16}},
-		{ipuPlat(), platform.TrainSpec{Model: model.GPT2Small().WithLayers(4), Seq: defaultSeq, Batch: 1, Precision: precision.Mixed},
+		{cachedIPU, platform.TrainSpec{Model: model.GPT2Small().WithLayers(4), Seq: defaultSeq, Batch: 1, Precision: precision.Mixed},
 			[]int{50, 75, 100, 125, 150, 175, 200, 225}},
 	}
 	for _, c := range cases {
@@ -1044,11 +1021,11 @@ func TableIV(ctx context.Context) (*Result, error) {
 		formats []precision.Format
 	}
 	cases := []t4Case{
-		{ipuPlat(), platform.TrainSpec{Model: model.GPT2Small().WithLayers(2), Batch: 2048, Seq: defaultSeq, Precision: precision.FP32},
+		{cachedIPU, platform.TrainSpec{Model: model.GPT2Small().WithLayers(2), Batch: 2048, Seq: defaultSeq, Precision: precision.FP32},
 			[]precision.Format{precision.FP32, precision.Mixed}},
-		{wsePlat(), platform.TrainSpec{Model: model.GPT2Small(), Batch: defaultBatch, Seq: defaultSeq, Precision: precision.FP16},
+		{cachedWSE, platform.TrainSpec{Model: model.GPT2Small(), Batch: defaultBatch, Seq: defaultSeq, Precision: precision.FP16},
 			[]precision.Format{precision.FP16, precision.CB16}},
-		{rduPlat(), platform.TrainSpec{Model: model.LLaMA2_7B(), Batch: 8, Seq: 4096, Precision: precision.BF16,
+		{cachedRDU, platform.TrainSpec{Model: model.LLaMA2_7B(), Batch: 8, Seq: 4096, Precision: precision.BF16,
 			Par: platform.Parallelism{Mode: platform.ModeO1, TensorParallel: 2}},
 			[]precision.Format{precision.BF16, precision.Mixed}},
 	}

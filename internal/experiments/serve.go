@@ -17,13 +17,13 @@ import (
 func SharedPlatform(name string) (platform.CachedPlatform, bool) {
 	switch strings.ToLower(name) {
 	case "wse", "wse-2", "cerebras":
-		return wsePlat(), true
+		return cachedWSE, true
 	case "rdu", "sn30", "sambanova":
-		return rduPlat(), true
+		return cachedRDU, true
 	case "ipu", "bow", "graphcore":
-		return ipuPlat(), true
+		return cachedIPU, true
 	case "gpu", "a100":
-		return gpuPlat(), true
+		return cachedGPU, true
 	default:
 		return nil, false
 	}

@@ -16,7 +16,8 @@
 //   - timeout: an injected error wrapping os.ErrDeadlineExceeded.
 //   - corrupt: the operation "succeeds" but its payload is garbage —
 //     components translate it into corrupted read data.
-//   - slow: the operation stalls for delay_ms, then proceeds normally.
+//   - slow: the operation stalls for delay_ms, then proceeds normally;
+//     a cancelled caller context ends the stall early.
 //
 // Determinism: the injector's RNG is seeded from the spec, and rules
 // consume budget per evaluation under one lock, so a single-threaded
@@ -24,12 +25,13 @@
 // fired faults is still budget-bounded, which is what the tests pin.
 //
 // The production fast path pays exactly one pointer compare: every hook
-// site is `if inj != nil { inj.Fire(op) }` (Fire is additionally safe
+// site is `if inj != nil { inj.Fire(ctx, op) }` (Fire is additionally safe
 // on a nil receiver, so forgetting the guard degrades to a nil check
 // inside the call, never a panic).
 package faults
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -253,12 +255,20 @@ func Load(arg string) (*Injector, error) {
 
 // Fire evaluates op against the rule set: the first matching error-kind
 // rule that fires returns its InjectedError; slow rules stall inline
-// and keep scanning. A nil receiver never fires. Budget is consumed per
+// and keep scanning. A stall waits on ctx too: cancelling it ends the
+// stall at once and Fire returns ctx.Err(), so a stalled job honours a
+// DELETE or a drain. A nil receiver never fires. Budget is consumed per
 // fire, so exhausted rules fall silent.
-func (in *Injector) Fire(op Op) error {
+func (in *Injector) Fire(ctx context.Context, op Op) error {
 	stall, err := in.eval(op)
 	if stall > 0 {
-		time.Sleep(stall)
+		t := time.NewTimer(stall)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	return err
 }

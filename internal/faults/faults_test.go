@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -69,7 +70,7 @@ func TestFireDeterministicAndBudgeted(t *testing.T) {
 		}
 		var seq []bool
 		for i := 0; i < 200; i++ {
-			seq = append(seq, in.Fire(OpStoreWrite) != nil)
+			seq = append(seq, in.Fire(context.Background(), OpStoreWrite) != nil)
 		}
 		return seq
 	}
@@ -95,7 +96,7 @@ func TestFireDeterministicAndBudgeted(t *testing.T) {
 	}
 	var hits int
 	for i := 0; i < 10; i++ {
-		if in.Fire(OpChunkRun) != nil {
+		if in.Fire(context.Background(), OpChunkRun) != nil {
 			hits++
 		}
 	}
@@ -113,10 +114,10 @@ func TestFireMatchesOpOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Fire(OpJournalAppend); err != nil {
+	if err := in.Fire(context.Background(), OpJournalAppend); err != nil {
 		t.Errorf("append fired a sync-only rule: %v", err)
 	}
-	if err := in.Fire(OpJournalSync); err == nil {
+	if err := in.Fire(context.Background(), OpJournalSync); err == nil {
 		t.Error("sync rule did not fire")
 	}
 }
@@ -135,7 +136,7 @@ func TestErrorKindsWrapSentinels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := in.Fire(OpStoreWrite)
+		got := in.Fire(context.Background(), OpStoreWrite)
 		if !errors.Is(got, tc.want) {
 			t.Errorf("kind %s: errors.Is(%v, %v) = false", tc.kind, got, tc.want)
 		}
@@ -151,7 +152,7 @@ func TestCorruptAndSlowKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := in.Fire(OpStoreRead); !IsCorrupt(got) {
+	if got := in.Fire(context.Background(), OpStoreRead); !IsCorrupt(got) {
 		t.Errorf("IsCorrupt(%v) = false", got)
 	}
 
@@ -160,7 +161,7 @@ func TestCorruptAndSlowKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if got := in.Fire(OpChunkRun); got != nil {
+	if got := in.Fire(context.Background(), OpChunkRun); got != nil {
 		t.Errorf("slow rule returned an error: %v", got)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
@@ -168,9 +169,30 @@ func TestCorruptAndSlowKinds(t *testing.T) {
 	}
 }
 
+// TestSlowStallHonoursCancel: cancelling the caller's context ends a
+// stall early, and Fire reports the cancellation.
+func TestSlowStallHonoursCancel(t *testing.T) {
+	in, err := New(Spec{Rules: []Rule{{Op: OpChunkRun, Kind: KindSlow, DelayMs: 30_000}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	if got := in.Fire(ctx, OpChunkRun); !errors.Is(got, context.Canceled) {
+		t.Errorf("cancelled stall returned %v, want context.Canceled", got)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("cancelled stall took %v, want it to end at the cancel", d)
+	}
+	if st := in.Stats(); st.Fired != 1 {
+		t.Errorf("fired = %d, want 1 (a cancelled stall still fired)", st.Fired)
+	}
+}
+
 func TestNilInjectorNeverFires(t *testing.T) {
 	var in *Injector
-	if err := in.Fire(OpStoreRead); err != nil {
+	if err := in.Fire(context.Background(), OpStoreRead); err != nil {
 		t.Errorf("nil injector fired: %v", err)
 	}
 	if st := in.Stats(); st != nil {

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,7 +136,8 @@ func (j *journal) append(r record, sync bool) {
 
 // writeLine is the injectable journal-write site.
 func (j *journal) writeLine(data []byte) error {
-	if err := j.inj.Fire(faults.OpJournalAppend); err != nil {
+	//dalint:ignore noctxbg -- journal I/O serves no one request: a started append or fsync runs to completion, as the real syscall would
+	if err := j.inj.Fire(context.Background(), faults.OpJournalAppend); err != nil {
 		return err
 	}
 	_, err := j.f.Write(data)
@@ -144,7 +146,8 @@ func (j *journal) writeLine(data []byte) error {
 
 // syncFile is the injectable journal-fsync site.
 func (j *journal) syncFile() error {
-	if err := j.inj.Fire(faults.OpJournalSync); err != nil {
+	//dalint:ignore noctxbg -- journal I/O serves no one request: a started append or fsync runs to completion, as the real syscall would
+	if err := j.inj.Fire(context.Background(), faults.OpJournalSync); err != nil {
 		return err
 	}
 	return j.f.Sync()

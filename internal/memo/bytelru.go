@@ -112,13 +112,6 @@ func LookupBytes[V any](c *ByteLRU[string, V], key []byte) (V, bool) {
 	return n.val, true
 }
 
-// Len returns the entry count.
-func (c *ByteLRU[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats returns the current counters and size gauges.
 func (c *ByteLRU[K, V]) Stats() cachestats.ByteStats {
 	c.mu.Lock()

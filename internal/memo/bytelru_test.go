@@ -75,7 +75,7 @@ func TestByteLRUConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := c.Len(); n == 0 || n > 32 {
-		t.Errorf("Len = %d after concurrent churn", n)
+	if n := c.Stats().Entries; n == 0 || n > 32 {
+		t.Errorf("Entries = %d after concurrent churn", n)
 	}
 }

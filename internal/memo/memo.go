@@ -65,13 +65,6 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Len returns the number of resolved or in-flight entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats returns the current hit/miss counters.
 func (c *Cache[K, V]) Stats() cachestats.Stats {
 	return cachestats.Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}

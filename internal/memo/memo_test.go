@@ -110,18 +110,24 @@ func TestDoPanicPoisonsKey(t *testing.T) {
 	}
 }
 
+// TestLen pins what the removed Len reported, through Do: every entry
+// stays resolved until Reset, and Reset drops them all, so each key
+// computed before it computes again after it.
 func TestLen(t *testing.T) {
 	c := New[string, int]()
-	if c.Len() != 0 {
-		t.Fatalf("empty Len = %d", c.Len())
+	var calls atomic.Int64
+	compute := func() (int, error) { calls.Add(1); return 1, nil }
+	for _, k := range []string{"a", "b", "a", "b"} {
+		_, _ = c.Do(k, compute)
 	}
-	_, _ = c.Do("a", func() (int, error) { return 1, nil })
-	_, _ = c.Do("b", func() (int, error) { return 2, nil })
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("computed %d times before Reset, want 2", n)
 	}
 	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("Len after Reset = %d", c.Len())
+	for _, k := range []string{"a", "b"} {
+		_, _ = c.Do(k, compute)
+	}
+	if n := calls.Load(); n != 4 {
+		t.Errorf("computed %d times after Reset, want 4 (both keys again)", n)
 	}
 }

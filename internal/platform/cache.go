@@ -48,11 +48,16 @@ type CachedPlatform interface {
 //
 // If p natively computes load imbalance (Imbalancer), the wrapper
 // forwards it so core.Profile keeps using the operator-level path.
-func Cached(p Platform) CachedPlatform { return CachedWithStore(p, nil) }
+func Cached(p Platform) CachedPlatform {
+	c := &cached{p: p, compile: memo.New[string, *CompileReport]()}
+	if li, ok := p.(Imbalancer); ok {
+		return &cachedImbalancer{cached: c, li: li}
+	}
+	return c
+}
 
 type cached struct {
 	p       Platform
-	rs      ResultStore // optional persistent L2; nil = RAM only
 	compile *memo.Cache[string, *CompileReport]
 }
 
@@ -61,37 +66,10 @@ func (c *cached) HardwareSpec() Spec { return c.p.HardwareSpec() }
 func (c *cached) Unwrap() Platform   { return c.p }
 
 func (c *cached) Compile(spec TrainSpec) (*CompileReport, error) {
-	key := spec.Key()
-	return c.compile.Do(key, func() (*CompileReport, error) {
-		if c.rs != nil {
-			if st, ok := c.rs.Load(c.p.Name(), key); ok {
-				if st.Failed {
-					return nil, &CompileError{Platform: c.p.Name(), Reason: st.FailReason}
-				}
-				return st.Compile, nil
-			}
-		}
-		cr, err := observeStage(c.p.Name(), StageCompile, func() (*CompileReport, error) {
+	return c.compile.Do(spec.Key(), func() (*CompileReport, error) {
+		return observeStage(c.p.Name(), StageCompile, func() (*CompileReport, error) {
 			return c.p.Compile(spec)
 		})
-		if c.rs != nil {
-			switch {
-			case err == nil:
-				// One write per outcome: run the report now and store
-				// compile and run together (see CachedWithStore). Only
-				// a Run error leaves the compile report to persist alone.
-				st := Stored{Compile: cr}
-				if rr, rerr := c.Run(cr); rerr == nil {
-					st.Run = rr
-				}
-				c.rs.Store(c.p.Name(), key, st)
-			case IsCompileFailure(err):
-				// Placement failures are deterministic findings, worth
-				// persisting; validation errors are cheap to rediscover.
-				c.rs.Store(c.p.Name(), key, Stored{Failed: true, FailReason: err.(*CompileError).Reason})
-			}
-		}
-		return cr, err
 	})
 }
 

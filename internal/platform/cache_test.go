@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +15,6 @@ type countingPlatform struct {
 	compiles atomic.Int64
 	runs     atomic.Int64
 	fail     bool // Compile reports a placement failure
-	runFail  bool // Run returns an error
 }
 
 func (p *countingPlatform) Name() string       { return "fake" }
@@ -32,9 +30,6 @@ func (p *countingPlatform) Compile(spec TrainSpec) (*CompileReport, error) {
 
 func (p *countingPlatform) Run(cr *CompileReport) (*RunReport, error) {
 	p.runs.Add(1)
-	if p.runFail {
-		return nil, errors.New("fake: run failed")
-	}
 	return &RunReport{Compile: cr, TokensPerSec: 1}, nil
 }
 

@@ -21,9 +21,9 @@ const (
 // layer's, not a phantom zero-cost compile here.
 type StageHook func(platformName, stage string, d time.Duration)
 
-// stageHook is package-wide, not per cached wrapper: the cached
-// platforms are rebuilt whenever the result-store seam changes, and the
-// observer must survive those rebuilds. One atomic load + nil
+// stageHook is package-wide, not per cached wrapper: one observer sees
+// every wrapper's stages, the shared experiment platforms and any
+// wrapper a caller builds with Cached alike. One atomic load + nil
 // compare per compile miss and per Run; a compile hit never consults
 // it.
 var stageHook atomic.Pointer[StageHook]

@@ -11,9 +11,8 @@
 // covers a canonical serialization of its own fields plus the previous
 // record's hash; the first record links to a fixed genesis hash.
 // Appends are deduplicated by address — a blob rewritten with its run
-// report attached, or upgraded to the v2 frame, does not append a
-// second record, because the address (and therefore the identity it
-// binds) is unchanged.
+// report attached does not append a second record, because the address
+// (and therefore the identity it binds) is unchanged.
 //
 // Durability posture matches the store it shadows: appends flush to
 // the OS on every record but do not fsync — the log is tamper
@@ -197,8 +196,8 @@ func (l *Log) replay() (int64, error) {
 }
 
 // Append extends the chain with one blob write. Appends are
-// deduplicated by address: re-storing an outcome (run report attached,
-// frame upgrade) is a no-op because the identity is unchanged. I/O
+// deduplicated by address: re-storing an outcome (run report attached)
+// is a no-op because the identity is unchanged. I/O
 // failures are counted but do not fail the caller — the store's write
 // hook must never make a blob write fail — and the in-memory chain
 // stays consistent with what was durably framed.

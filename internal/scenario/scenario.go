@@ -26,9 +26,8 @@
 //
 // Execution goes through experiments.SharedPlatform and the sweep
 // worker pool, so every compile lands in the process-wide graph and
-// compile cache tiers and, when one is mounted, the persistent result
-// store — a scenario re-run against a warm daemon costs lookups and
-// microsecond runs, not compiles. Placement failures are findings
+// compile cache tiers — a scenario re-run against a warm daemon costs
+// lookups and microsecond runs, not compiles. Placement failures are findings
 // ("Fail" rows), never scenario errors. Rendering goes through
 // experiments.Result.Render, the same path the CLI and the daemon use
 // for experiment artifacts, which is what keeps a scenario's table and

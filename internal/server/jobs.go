@@ -37,7 +37,7 @@ func jobWorkers() int {
 // with it the job: the simulators are pure functions of the spec, so
 // a rerun would fail the same way.
 func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]sweep.Outcome[RunResult], error) {
-	if err := s.cfg.Injector.Fire(faults.OpChunkRun); err != nil {
+	if err := s.cfg.Injector.Fire(ctx, faults.OpChunkRun); err != nil {
 		return nil, err
 	}
 	return sweep.MapN(ctx, hi-lo, func(_ context.Context, i int) (RunResult, error) {

@@ -131,15 +131,12 @@ func (s *Server) collect(e *telemetry.Exposition) {
 			name, help string
 			v          int64
 		}{
-			{"dabench_store_hits_total", "Persistent-store payload hits.", ss.Hits},
-			{"dabench_store_misses_total", "Persistent-store payload misses.", ss.Misses},
 			{"dabench_store_puts_total", "Blobs persisted.", ss.Puts},
 			{"dabench_store_evictions_total", "Blobs evicted by the size budget.", ss.Evictions},
 			{"dabench_store_corrupt_total", "Blobs dropped as corrupt.", ss.Corrupt},
 			{"dabench_store_write_errors_total", "Blob writes that exhausted their retries.", ss.WriteErrors},
 			{"dabench_store_raw_hits_total", "Raw response-byte hits (zero-decode serves).", ss.RawHits},
 			{"dabench_store_raw_misses_total", "Raw response-byte misses.", ss.RawMisses},
-			{"dabench_store_blob_upgrades_total", "v1 blobs rewritten into the v2 frame.", ss.BlobUpgrades},
 			{"dabench_store_read_retries_total", "Blob read attempts beyond the first.", ss.ReadRetries},
 			{"dabench_store_write_retries_total", "Blob write attempts beyond the first.", ss.WriteRetries},
 			{"dabench_store_skipped_reads_total", "Reads skipped with the read breaker open.", ss.SkippedReads},

@@ -75,6 +75,52 @@ func TestInjectedChunkFaultFailsJob(t *testing.T) {
 	}
 }
 
+// TestStalledJobCancelsPromptly: a DELETE on a job stalled by a
+// chunk.run slow rule settles it cancelled at once, not when the stall
+// runs out — the stall waits on the job's context.
+func TestStalledJobCancelsPromptly(t *testing.T) {
+	in := serverInjector(t, faults.Spec{Rules: []faults.Rule{
+		{Op: faults.OpChunkRun, Kind: faults.KindSlow, DelayMs: 30_000, Count: 1},
+	}})
+	ts := newTestServer(t, Config{Injector: in})
+
+	resp, b := postJSON(t, ts.URL+"/v1/jobs", `{"platform":"gpu","model":"gpt2-small"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, b)
+	}
+	var v jobs.View
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, ts, v.ID, jobs.StateRunning)
+	for deadline := time.Now().Add(5 * time.Second); in.Stats().Fired == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow rule never fired")
+		}
+	}
+
+	start := time.Now()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel status = %d", dresp.StatusCode)
+	}
+	for {
+		getJSON(t, ts.URL+"/v1/jobs/"+v.ID, &v)
+		if v.State == jobs.StateCancelled {
+			break
+		}
+		if time.Since(start) > 2*time.Second {
+			t.Fatalf("job still %s 2s after DELETE: the stall ignored the cancel", v.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestScenarioByteIdenticalUnderStoreWriteFaults is the acceptance
 // invariance: with 30% of store writes failing, a built-in scenario's
 // response must be byte-identical to the fault-free run — scenario

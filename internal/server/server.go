@@ -136,14 +136,11 @@ type Stats struct {
 	Version      string                         `json:"version"`
 	Caches       map[string]cachestats.Snapshot `json:"caches"`
 	// RespCache is the L0 response-byte tier's counters (absent when
-	// the tier is disabled); NotModified counts 304 fast-lane answers;
-	// BlobUpgrades mirrors the store's v1→v2 frame rewrites (0 without
-	// a store).
-	RespCache    *cachestats.ByteSnapshot `json:"resp_cache,omitempty"`
-	NotModified  int64                    `json:"not_modified"`
-	BlobUpgrades int64                    `json:"blob_upgrades"`
-	Store        *store.Stats             `json:"store,omitempty"`
-	Jobs         *jobs.Gauges             `json:"jobs,omitempty"`
+	// the tier is disabled); NotModified counts 304 fast-lane answers.
+	RespCache   *cachestats.ByteSnapshot `json:"resp_cache,omitempty"`
+	NotModified int64                    `json:"not_modified"`
+	Store       *store.Stats             `json:"store,omitempty"`
+	Jobs        *jobs.Gauges             `json:"jobs,omitempty"`
 	// Faults is the fault injector's fire counts when one is mounted.
 	Faults *faults.Stats `json:"faults,omitempty"`
 	// Cluster is the fabric's snapshot (absent on a single node):
@@ -213,10 +210,10 @@ func New(cfg Config) (*Server, error) {
 		s.Close()
 		return nil, err
 	}
-	// The pipeline stage hook is process-global (it must survive the
-	// cached-platform rebuilds SetResultStore triggers); the last server
-	// constructed owns it, and Close unmounts it. One daemon process
-	// runs one server, so the global is only contended in tests.
+	// The pipeline stage hook is process-global, like the shared
+	// platforms it observes; the last server constructed owns it, and
+	// Close unmounts it. One daemon process runs one server, so the
+	// global is only contended in tests.
 	experiments.SetStageHook(s.pipelineStage)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -407,7 +404,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Store != nil {
 		snap := s.cfg.Store.Stats()
 		st.Store = &snap
-		st.BlobUpgrades = snap.BlobUpgrades
 	}
 	gauges := s.jobs.Stats()
 	st.Jobs = &gauges

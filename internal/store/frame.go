@@ -21,12 +21,12 @@ import (
 //	18      —     payload: the canonical JSON blob (what v1 stored whole)
 //	18+P    —     response: pre-marshaled /v1/run body for this outcome
 //
-// The payload section remains the source of truth Load decodes; the
-// response section is an optional byte-level acceleration LoadRaw
-// serves without any JSON work. The CRC covers both sections so a torn
-// rename or bit rot is detected before either is trusted; any frame
-// that fails validation is corrupt and keeps the store's
-// delete-and-miss semantics.
+// The payload section is the outcome's canonical record, which export
+// and provenance checks decode; the response section is an optional
+// byte-level acceleration LoadRaw serves without any JSON work. The
+// CRC covers both sections so a torn rename or bit rot is detected
+// before either is trusted; any frame that fails validation is corrupt
+// and keeps the store's delete-and-miss semantics.
 
 const (
 	frameVersion   = 2
@@ -39,11 +39,12 @@ const (
 var frameMagic = [4]byte{'D', 'B', 'L', 'B'}
 
 // errNotFramed marks bytes with no frame magic: a v1 bare-JSON blob,
-// to be decoded directly (and upgraded on its next write).
+// which carries no response section.
 var errNotFramed = errors.New("store: blob is not framed (v1 bare JSON)")
 
 // encodeFrame assembles a v2 frame. resp may be nil/empty: the frame
-// then carries only the payload (the shape a v1 upgrade produces).
+// then carries only the payload (the shape a plain Store write
+// produces for a fresh blob).
 func encodeFrame(payload, resp []byte) []byte {
 	b := make([]byte, frameHeaderLen+len(payload)+len(resp))
 	copy(b, frameMagic[:])

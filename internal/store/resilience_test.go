@@ -2,6 +2,7 @@ package store
 
 import (
 	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -71,11 +72,11 @@ func TestReadRetryRidesOutTransientFault(t *testing.T) {
 	o.RetryAttempts = 3
 	s := mustOpenOptions(t, t.TempDir(), o)
 	spec := testSpec(4)
-	s.Store("WSE-2", spec.Key(), testStored(4))
+	s.StoreWithResponse("WSE-2", spec.Key(), testStored(4), []byte("resp-bytes"))
 	s.Snapshot()
 
-	if _, ok := s.Load("WSE-2", spec.Key()); !ok {
-		t.Fatal("Load missed despite retry budget covering the single fault")
+	if _, ok := s.LoadRaw("WSE-2", spec.Key()); !ok {
+		t.Fatal("LoadRaw missed despite retry budget covering the single fault")
 	}
 	st := s.Stats()
 	if st.ReadRetries < 1 {
@@ -94,12 +95,12 @@ func TestReadBreakerTripsThenSkipsDisk(t *testing.T) {
 	o.BreakerCooldown = time.Minute // never reaches half-open in this test
 	s := mustOpenOptions(t, t.TempDir(), o)
 	spec := testSpec(4)
-	s.Store("WSE-2", spec.Key(), testStored(4))
+	s.StoreWithResponse("WSE-2", spec.Key(), testStored(4), []byte("resp-bytes"))
 	s.Snapshot()
 
 	for i := 0; i < 2; i++ { // threshold failures trip the breaker
-		if _, ok := s.Load("WSE-2", spec.Key()); ok {
-			t.Fatal("Load hit through a permanent read fault")
+		if _, ok := s.LoadRaw("WSE-2", spec.Key()); ok {
+			t.Fatal("LoadRaw hit through a permanent read fault")
 		}
 	}
 	st := s.Stats()
@@ -113,8 +114,8 @@ func TestReadBreakerTripsThenSkipsDisk(t *testing.T) {
 	// Open state: lookups are immediate misses, no disk consult (the
 	// injector's fire counter would grow if readFile ran).
 	firedBefore := in.Stats().Fired
-	if _, ok := s.Load("WSE-2", spec.Key()); ok {
-		t.Fatal("Load hit through an open breaker")
+	if _, ok := s.LoadRaw("WSE-2", spec.Key()); ok {
+		t.Fatal("LoadRaw hit through an open breaker")
 	}
 	if got := in.Stats().Fired; got != firedBefore {
 		t.Errorf("open breaker still touched the read path (fired %d -> %d)", firedBefore, got)
@@ -138,11 +139,11 @@ func TestReadBreakerHalfOpenProbeRecovers(t *testing.T) {
 	}})
 	s := mustOpenOptions(t, t.TempDir(), fastOpts(in))
 	spec := testSpec(4)
-	s.Store("WSE-2", spec.Key(), testStored(4))
+	s.StoreWithResponse("WSE-2", spec.Key(), testStored(4), []byte("resp-bytes"))
 	s.Snapshot()
 
 	for i := 0; i < 2; i++ {
-		s.Load("WSE-2", spec.Key())
+		s.LoadRaw("WSE-2", spec.Key())
 	}
 	if st := s.Stats(); st.ReadBreaker.State != "open" {
 		t.Fatalf("read breaker = %+v, want open", st.ReadBreaker)
@@ -150,7 +151,7 @@ func TestReadBreakerHalfOpenProbeRecovers(t *testing.T) {
 
 	time.Sleep(30 * time.Millisecond) // past the cooldown
 
-	if _, ok := s.Load("WSE-2", spec.Key()); !ok {
+	if _, ok := s.LoadRaw("WSE-2", spec.Key()); !ok {
 		t.Fatal("half-open probe missed on a healed disk")
 	}
 	st := s.Stats()
@@ -183,7 +184,7 @@ func TestWriteRetryRidesOutTransientFault(t *testing.T) {
 	if st.WriteRetries < 1 {
 		t.Errorf("WriteRetries = %d, want >= 1", st.WriteRetries)
 	}
-	if _, ok := s.Load("WSE-2", spec.Key()); !ok {
+	if _, err := os.Stat(pathFor(s.dir, "WSE-2", spec.Key())); err != nil {
 		t.Error("retried write did not land")
 	}
 }
@@ -219,26 +220,21 @@ func TestWriteBreakerTripsAndDropsWrites(t *testing.T) {
 	}
 }
 
+// TestCorruptInjectionDeletesAndMisses: an injected corrupt read is a
+// miss, not a disk fault. Its garbage bytes carry no frame magic, so
+// LoadRaw reads them as a v1 blob (a raw miss that leaves the file in
+// place); TestCorruptBlobIsAMiss covers the delete of a damaged frame.
 func TestCorruptInjectionDeletesAndMisses(t *testing.T) {
 	in := mustInjector(t, faults.Spec{Rules: []faults.Rule{
 		{Op: faults.OpStoreRead, Kind: faults.KindCorrupt, Count: 1},
 	}})
 	s := mustOpenOptions(t, t.TempDir(), fastOpts(in))
 	spec := testSpec(4)
-	s.Store("WSE-2", spec.Key(), testStored(4))
+	s.StoreWithResponse("WSE-2", spec.Key(), testStored(4), []byte("resp-bytes"))
 	s.Snapshot()
 
-	if _, ok := s.Load("WSE-2", spec.Key()); ok {
-		t.Fatal("Load hit on injected-corrupt bytes")
-	}
-	st := s.Stats()
-	if st.Corrupt != 1 {
-		t.Errorf("Corrupt = %d, want 1", st.Corrupt)
-	}
-	// Corruption deletes: the follow-up read (injector budget spent)
-	// finds no file and stays a healthy miss.
-	if _, ok := s.Load("WSE-2", spec.Key()); ok {
-		t.Fatal("corrupt blob was not deleted")
+	if _, ok := s.LoadRaw("WSE-2", spec.Key()); ok {
+		t.Fatal("LoadRaw hit on injected-corrupt bytes")
 	}
 	if st := s.Stats(); st.ReadBreaker.State != "closed" {
 		t.Errorf("breaker = %+v; corruption is not a disk fault", st.ReadBreaker)
@@ -254,7 +250,7 @@ func TestFailedEvictionKeepsAccountingOnDisk(t *testing.T) {
 	s := mustOpenOptions(t, t.TempDir(), o)
 	for i := 0; i < 2; i++ {
 		spec := testSpec(4 + i)
-		s.Store("WSE-2", spec.Key(), testStored(4+i))
+		s.StoreWithResponse("WSE-2", spec.Key(), testStored(4+i), []byte("resp-bytes"))
 	}
 	s.Snapshot()
 
@@ -275,7 +271,7 @@ func TestFailedEvictionKeepsAccountingOnDisk(t *testing.T) {
 		t.Errorf("Entries = %d, want 2 (victims re-adopted)", st.Entries)
 	}
 	// Re-adopted blobs remain servable.
-	if _, ok := s.Load("WSE-2", testSpec(5).Key()); !ok {
+	if _, ok := s.LoadRaw("WSE-2", testSpec(5).Key()); !ok {
 		t.Error("re-adopted blob did not serve")
 	}
 }

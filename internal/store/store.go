@@ -4,9 +4,9 @@
 // each carrying the served response bytes, so a restarted daemon
 // answers a repeat /v1/run without simulating; its sweeps, jobs and
 // scenarios recompute instead, because a blob write costs more than
-// recomputing the point on every platform but the RDU. The CLI's `experiments -data-dir` still
-// mounts the store under the in-memory compile memo, so a repeat CLI
-// run over the same directory answers its compiles from disk.
+// recomputing the point on every platform but the RDU. The serving
+// path never decodes a blob's payload: its one read, LoadRaw, serves
+// the response bytes; only ScanBlobs' provenance check reads payloads.
 //
 // Addressing: a blob's name is the SHA-256 of the pipeline version,
 // the platform name and the spec's canonical TrainSpec.Key — the full
@@ -20,22 +20,23 @@
 // age out via the size budget) instead of poisoning the new pipeline
 // with stale results.
 //
-// Durability posture: reads are synchronous (read-through), writes are
-// behind — Store enqueues to a single writer goroutine and returns.
-// Snapshot flushes the queue, giving callers a point on the timeline
-// where everything computed so far is on disk. Corruption never
-// propagates: a blob that fails to decode or verify is deleted and
-// reported as a miss, because the pipeline can always recompute.
+// Durability posture: reads are synchronous, writes are behind — Store
+// enqueues to a single writer goroutine and returns. Snapshot flushes
+// the queue, giving callers a point on the timeline where everything
+// computed so far is on disk. Corruption never propagates: a frame
+// that fails to verify is deleted and reported as a miss, because the
+// pipeline can always recompute.
 //
 // On-disk format: blobs are written as v2 binary frames (see frame.go)
 // carrying the canonical JSON payload plus, optionally, the
 // pre-marshaled HTTP response bytes for the same outcome — LoadRaw
-// serves the latter with zero JSON decoding. v1 bare-JSON blobs remain
-// readable; the first Load that touches one enqueues a rewrite into
-// the framed format (counted as a blob upgrade).
+// serves the latter with zero JSON decoding. A v1 bare-JSON blob is a
+// raw miss that stays on disk until evicted or overwritten; it is
+// never upgraded in place.
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -74,25 +75,21 @@ type blob struct {
 	Run        *platform.RunReport     `json:"run,omitempty"`
 }
 
-// Stats is the store's observable state: lookup counters plus the
-// size gauges the eviction budget works against. It doubles as the
-// /v1/stats wire form.
+// Stats is the store's observable state: write and lookup counters
+// plus the size gauges the eviction budget works against. It doubles
+// as the /v1/stats wire form.
 type Stats struct {
-	Hits        int64   `json:"hits"`
-	Misses      int64   `json:"misses"`
-	HitRate     float64 `json:"hit_rate"`
-	Puts        int64   `json:"puts"`
-	Evictions   int64   `json:"evictions"`
-	Corrupt     int64   `json:"corrupt"`
-	WriteErrors int64   `json:"write_errors,omitempty"`
+	Puts        int64 `json:"puts"`
+	Evictions   int64 `json:"evictions"`
+	Corrupt     int64 `json:"corrupt"`
+	WriteErrors int64 `json:"write_errors,omitempty"`
 	// Warm serve counters: raw-response lookups (LoadRaw, which serves
-	// bytes without decoding) and v1→v2 frame rewrites.
-	RawHits      int64 `json:"raw_hits,omitempty"`
-	RawMisses    int64 `json:"raw_misses,omitempty"`
-	BlobUpgrades int64 `json:"blob_upgrades,omitempty"`
-	Entries      int64 `json:"entries"`
-	Bytes        int64 `json:"bytes"`
-	BudgetBytes  int64 `json:"budget_bytes,omitempty"`
+	// bytes without decoding).
+	RawHits     int64 `json:"raw_hits,omitempty"`
+	RawMisses   int64 `json:"raw_misses,omitempty"`
+	Entries     int64 `json:"entries"`
+	Bytes       int64 `json:"bytes"`
+	BudgetBytes int64 `json:"budget_bytes,omitempty"`
 	// Resilience counters: retry totals, operations skipped because a
 	// breaker was open, unlinks that failed (and were re-adopted so the
 	// byte accounting tracks the disk), and the two breakers' state.
@@ -109,14 +106,14 @@ type Stats struct {
 type indexEntry struct {
 	size int64
 	used int64 // LRU tick; larger = more recent
-	// touched is the blob file's last known mtime (UnixNano). Load
+	// touched is the blob file's last known mtime (UnixNano). LoadRaw
 	// refreshes the mtime of hit blobs when it is older than
 	// touchDebounce, so the mtime-derived LRU order a restart rebuilds
 	// reflects reads, not just writes.
 	touched int64
 }
 
-// touchDebounce is how stale a hit blob's mtime may get before Load
+// touchDebounce is how stale a hit blob's mtime may get before LoadRaw
 // refreshes it. Recency only needs to survive restarts at eviction
 // granularity, so one utime per blob per minute is plenty — a hot
 // blob's mtime stays within a minute of its last read at almost no
@@ -132,7 +129,6 @@ type putReq struct {
 	name    string
 	payload []byte
 	frame   []byte        // pre-built frame (StoreWithResponse)
-	upgrade bool          // payload write triggered by a v1 blob read
 	flush   chan struct{} // non-nil: flush barrier, no write
 	// platformName and specKey ride along on every write so the
 	// OnWrite hook can report the blob's identity without re-decoding
@@ -159,9 +155,7 @@ type Store struct {
 	bytes int64
 	clock int64
 
-	hits, misses, puts          atomic.Int64
-	rawHits, rawMisses          atomic.Int64
-	blobUpgrades                atomic.Int64
+	puts, rawHits, rawMisses    atomic.Int64
 	evictions, corrupt, wfails  atomic.Int64
 	readRetries, writeRetries   atomic.Int64
 	skippedReads, skippedWrites atomic.Int64
@@ -203,10 +197,10 @@ type Options struct {
 	// Injector is the optional fault-injection hook fired at the store's
 	// read/write/remove syscall sites. Nil injects nothing.
 	Injector *faults.Injector
-	// OnWrite, when set, observes every successful blob persist (fresh
-	// puts and v1→v2 upgrades). It runs on the single writer goroutine,
-	// so it must be fast and must never fail the write — provenance
-	// logging is the intended consumer.
+	// OnWrite, when set, observes every successful blob persist. It
+	// runs on the single writer goroutine, so it must be fast and must
+	// never fail the write — provenance logging is the intended
+	// consumer.
 	OnWrite func(WriteEvent)
 }
 
@@ -215,13 +209,9 @@ type WriteEvent struct {
 	// Addr is the blob's content address (its on-disk name).
 	Addr string
 	// Platform and SpecKey are the identity the address was derived
-	// from; empty on upgrade rewrites of v1 blobs read by a process that
-	// did not know the identity (never happens via Load, which always
-	// knows both).
+	// from.
 	Platform string
 	SpecKey  string
-	// Upgrade marks a v1→v2 frame rewrite rather than a fresh outcome.
-	Upgrade bool
 }
 
 // Open loads the store rooted at dir (created if absent), rebuilding
@@ -355,7 +345,7 @@ func ValidAddr(addr string) bool {
 // ReadFrame returns the raw on-disk bytes of the blob at addr — the
 // exact frame (or v1 bare JSON) writeOnce persisted, suitable for
 // byte-level export to a peer. The read goes through the same breaker
-// and retry policy as Load; a malformed address, a missing blob, or
+// and retry policy as LoadRaw; a malformed address, a missing blob, or
 // degraded I/O is a miss. The bytes are not CRC-verified here: a
 // consumer must decode and verify the frame before trusting it.
 func (s *Store) ReadFrame(addr string) ([]byte, bool) {
@@ -385,115 +375,6 @@ func (s *Store) ReadFrame(addr string) ([]byte, bool) {
 	return data, true
 }
 
-// Load implements platform.ResultStore: a synchronous read-through
-// lookup. Any decode or identity failure deletes the blob and reports
-// a miss — corruption costs one recompute, never a crash. The disk is
-// probed even on an index miss: another process sharing the directory
-// (a CLI run beside the daemon) may have written the blob after this
-// process's Open-time scan.
-//
-// Resilience: a transient read error (anything but ErrNotExist) is
-// retried with backoff; exhausting the retries feeds the read breaker
-// and reports a miss while leaving the blob in place — the bytes on
-// disk may be perfectly fine, only this read failed. With the read
-// breaker open the disk is not consulted at all: every lookup is an
-// immediate miss served by the memo tiers and recompute.
-func (s *Store) Load(platformName, specKey string) (platform.Stored, bool) {
-	name := address(platformName, specKey)
-	s.mu.Lock()
-	e, indexed := s.index[name]
-	if indexed {
-		s.clock++
-		e.used = s.clock
-	}
-	s.mu.Unlock()
-
-	if !s.readBr.allow() {
-		s.skippedReads.Add(1)
-		s.misses.Add(1)
-		return platform.Stored{}, false
-	}
-
-	data, err := s.readBlob(s.path(name))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			// Evicted or torn between index check and read: a plain miss
-			// over healthy I/O.
-			s.readBr.success()
-			if indexed {
-				s.drop(name, false)
-			}
-		} else {
-			s.readBr.failure()
-		}
-		s.misses.Add(1)
-		return platform.Stored{}, false
-	}
-	s.readBr.success()
-	payload, _, ferr := decodeFrame(data)
-	if errors.Is(ferr, errNotFramed) {
-		// A v1 bare-JSON blob: the file is the payload. Decoding it is
-		// this read's cost anyway; enqueue a framed rewrite so the next
-		// life reads v2 (opportunistic — a full queue skips it).
-		payload = data
-	} else if ferr != nil {
-		s.drop(name, true)
-		s.misses.Add(1)
-		return platform.Stored{}, false
-	}
-	var b blob
-	if err := json.Unmarshal(payload, &b); err != nil ||
-		b.Version != PipelineVersion || b.Platform != platformName || b.SpecKey != specKey ||
-		(b.Compile == nil && !b.Failed) {
-		// The last clause rejects a blob whose identity frame survived
-		// but whose payload did not — serving it would hand the
-		// pipeline a nil compile report.
-		s.drop(name, true)
-		s.misses.Add(1)
-		return platform.Stored{}, false
-	}
-	if errors.Is(ferr, errNotFramed) {
-		select {
-		case s.wq <- putReq{name: name, payload: payload, upgrade: true, platformName: platformName, specKey: specKey}:
-		case <-s.done:
-		default:
-		}
-	}
-	if !indexed {
-		// A sibling process's write, discovered after our scan: adopt
-		// it so the size gauges and LRU order see it from now on — and
-		// enforce the budget right here, because a stream of sibling
-		// writes would otherwise grow the footprint unchecked until
-		// this process's next own write. The on-disk mtime is refreshed
-		// too: the sibling may have written the blob long ago, and this
-		// read's recency must survive a restart like any other hit's.
-		now := time.Now()
-		s.mu.Lock()
-		if _, ok := s.index[name]; !ok {
-			s.clock++
-			s.index[name] = &indexEntry{size: int64(len(data)), used: s.clock, touched: now.UnixNano()}
-			s.bytes += int64(len(data))
-		}
-		victims := s.evictLocked()
-		s.mu.Unlock()
-		s.remove(victims)
-		_ = os.Chtimes(s.path(name), now, now)
-	} else {
-		s.maybeTouch(name)
-	}
-	if b.Run != nil {
-		// The blob stores the run report detached from its compile
-		// report (the pointer cycle is stripped on write); reattach so
-		// consumers see the usual RunReport shape.
-		b.Run.Compile = b.Compile
-	}
-	s.hits.Add(1)
-	return platform.Stored{
-		Compile: b.Compile, Run: b.Run,
-		Failed: b.Failed, FailReason: b.FailReason,
-	}, true
-}
-
 // LoadRaw returns the pre-marshaled response bytes stored alongside a
 // blob's payload: directly servable, CRC-verified, and never JSON-
 // decoded. A v1 blob, a frame with no response section, a corrupt
@@ -501,7 +382,14 @@ func (s *Store) Load(platformName, specKey string) (platform.Stored, bool) {
 // the compute path, so this tier can never surface an error.
 // Identity needs no payload decode: the address already binds the
 // pipeline version, platform and spec key, and the CRC covers the
-// bytes.
+// bytes. A corrupt frame is deleted; a v1 blob is left in place.
+//
+// Resilience: a transient read error (anything but ErrNotExist) is
+// retried with backoff; exhausting the retries feeds the read breaker
+// and reports a miss while leaving the blob in place — the bytes on
+// disk may be perfectly fine, only this read failed. With the read
+// breaker open the disk is not consulted at all: every lookup is an
+// immediate miss answered by recompute.
 func (s *Store) LoadRaw(platformName, specKey string) ([]byte, bool) {
 	name := address(platformName, specKey)
 	s.mu.Lock()
@@ -538,8 +426,7 @@ func (s *Store) LoadRaw(platformName, specKey string) ([]byte, bool) {
 		return nil, false
 	}
 	if len(resp) == 0 {
-		// v1 blob or a frame written before any response was attached:
-		// a miss here, but the payload path still works.
+		// A v1 blob or a frame written without a response section.
 		s.rawMisses.Add(1)
 		return nil, false
 	}
@@ -593,11 +480,11 @@ func (s *Store) readBlob(path string) ([]byte, error) {
 }
 
 // readFile is the injectable read syscall site. An injected corruption
-// fault "succeeds" with garbage bytes, exercising the corrupt-blob
-// delete-and-miss path end to end.
+// fault "succeeds" with garbage bytes: unframed, so LoadRaw reads them
+// as a v1 blob, a raw miss that leaves the file in place.
 func (s *Store) readFile(path string) ([]byte, error) {
 	if s.inj != nil {
-		if err := s.inj.Fire(faults.OpStoreRead); err != nil {
+		if err := s.inj.Fire(context.Background(), faults.OpStoreRead); err != nil {
 			if faults.IsCorrupt(err) {
 				return []byte("\x00not json"), nil
 			}
@@ -610,7 +497,7 @@ func (s *Store) readFile(path string) ([]byte, error) {
 // removeFile is the injectable unlink syscall site.
 func (s *Store) removeFile(path string) error {
 	if s.inj != nil {
-		if err := s.inj.Fire(faults.OpStoreRemove); err != nil {
+		if err := s.inj.Fire(context.Background(), faults.OpStoreRemove); err != nil {
 			return err
 		}
 	}
@@ -691,10 +578,10 @@ func (s *Store) drop(name string, isCorrupt bool) {
 	}
 }
 
-// Store implements platform.ResultStore: serialize st and enqueue it
-// for the write-behind goroutine. It never blocks on disk; if the
-// store is closed the write is silently dropped (the entry is
-// recomputable by definition).
+// Store serializes st and enqueues it for the write-behind goroutine,
+// carrying forward any response bytes the blob already holds on disk.
+// It never blocks on disk; if the store is closed the write is
+// silently dropped (the entry is recomputable by definition).
 func (s *Store) Store(platformName, specKey string, st platform.Stored) {
 	data, ok := s.marshalBlob(platformName, specKey, st)
 	if !ok {
@@ -802,14 +689,10 @@ func (s *Store) write(r putReq) {
 		return
 	}
 	s.writeBr.success()
-	if r.upgrade {
-		s.blobUpgrades.Add(1)
-	} else {
-		s.puts.Add(1)
-	}
+	s.puts.Add(1)
 	if s.onWrite != nil {
 		// After the rename: the hook sees only blobs that actually exist.
-		s.onWrite(WriteEvent{Addr: r.name, Platform: r.platformName, SpecKey: r.specKey, Upgrade: r.upgrade})
+		s.onWrite(WriteEvent{Addr: r.name, Platform: r.platformName, SpecKey: r.specKey})
 	}
 
 	s.mu.Lock()
@@ -855,7 +738,7 @@ func (s *Store) frameForWrite(r putReq) []byte {
 // the injectable write site in front.
 func (s *Store) writeOnce(name string, data []byte) error {
 	if s.inj != nil {
-		if err := s.inj.Fire(faults.OpStoreWrite); err != nil {
+		if err := s.inj.Fire(context.Background(), faults.OpStoreWrite); err != nil {
 			return err
 		}
 	}
@@ -933,7 +816,7 @@ func (s *Store) Snapshot() {
 
 // Close flushes pending writes and stops the writer; it is idempotent.
 // The store must not be used after Close; late Store calls are
-// dropped, late Loads still work (reads need no writer).
+// dropped, late LoadRaw calls still work (reads need no writer).
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {
 		s.Snapshot()
@@ -948,16 +831,13 @@ func (s *Store) Stats() Stats {
 	entries, bytes := int64(len(s.index)), s.bytes
 	s.mu.Unlock()
 	readBr, writeBr := s.readBr.stats(), s.writeBr.stats()
-	st := Stats{
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
+	return Stats{
 		Puts:          s.puts.Load(),
 		Evictions:     s.evictions.Load(),
 		Corrupt:       s.corrupt.Load(),
 		WriteErrors:   s.wfails.Load(),
 		RawHits:       s.rawHits.Load(),
 		RawMisses:     s.rawMisses.Load(),
-		BlobUpgrades:  s.blobUpgrades.Load(),
 		Entries:       entries,
 		Bytes:         bytes,
 		BudgetBytes:   s.budget,
@@ -970,10 +850,6 @@ func (s *Store) Stats() Stats {
 		ReadBreaker:   &readBr,
 		WriteBreaker:  &writeBr,
 	}
-	if total := st.Hits + st.Misses; total > 0 {
-		st.HitRate = float64(st.Hits) / float64(total)
-	}
-	return st
 }
 
 // ScanBlobs walks the shard tree at dir offline (no open Store needed)
