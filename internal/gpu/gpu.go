@@ -9,6 +9,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"dabench/internal/platform"
 	"dabench/internal/precision"
@@ -100,7 +101,7 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 		Platform: s.Name(),
 		Spec:     spec,
 		Tasks: []platform.Task{{
-			Name: fmt.Sprintf("T%dP%dD%d", tp, pp, dp), Kind: "decomposition",
+			Name: decompositionName(tp, pp, dp), Kind: "decomposition",
 			Units: platform.Units{SM: 108 * gpus},
 		}},
 		Allocated: map[platform.Resource]float64{platform.ResSM: 108 * gpus},
@@ -109,8 +110,20 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 			Capacity: units.Bytes(HBMBytes),
 			Weights:  units.Bytes(perGPU),
 		},
-		Notes: []string{fmt.Sprintf("tp=%d pp=%d dp=%d gpus=%.0f", tp, pp, dp, gpus)},
+		Notes: []string{decompositionNote(tp, pp, dp, gpus)},
 	}, nil
+}
+
+// decompositionName names the decomposition task "T<tp>P<pp>D<dp>".
+func decompositionName(tp, pp, dp int) string {
+	return "T" + strconv.Itoa(tp) + "P" + strconv.Itoa(pp) + "D" + strconv.Itoa(dp)
+}
+
+// decompositionNote is the report's note on the parallel degrees and
+// the GPU count.
+func decompositionNote(tp, pp, dp int, gpus float64) string {
+	return "tp=" + strconv.Itoa(tp) + " pp=" + strconv.Itoa(pp) + " dp=" + strconv.Itoa(dp) +
+		" gpus=" + strconv.FormatFloat(gpus, 'f', 0, 64)
 }
 
 func degrees(p platform.Parallelism) (tp, pp, dp int) {

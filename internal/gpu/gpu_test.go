@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"testing"
 
 	"dabench/internal/model"
@@ -80,5 +81,23 @@ func TestPrecisionAndForeignReport(t *testing.T) {
 	}
 	if _, err := New().Run(&platform.CompileReport{Platform: "IPU"}); err == nil {
 		t.Error("foreign report accepted")
+	}
+}
+
+// TestDecompositionTextMatchesSprintf: the task name and note built
+// with strconv read exactly as the fmt.Sprintf forms they replace.
+func TestDecompositionTextMatchesSprintf(t *testing.T) {
+	for tp := 1; tp <= 64; tp++ {
+		for pp := 1; pp <= 64; pp++ {
+			for dp := 1; dp <= 64; dp++ {
+				if got, want := decompositionName(tp, pp, dp), fmt.Sprintf("T%dP%dD%d", tp, pp, dp); got != want {
+					t.Fatalf("decompositionName(%d, %d, %d) = %q, want %q", tp, pp, dp, got, want)
+				}
+				gpus := float64(tp * pp * dp)
+				if got, want := decompositionNote(tp, pp, dp, gpus), fmt.Sprintf("tp=%d pp=%d dp=%d gpus=%.0f", tp, pp, dp, gpus); got != want {
+					t.Fatalf("decompositionNote(%d, %d, %d) = %q, want %q", tp, pp, dp, got, want)
+				}
+			}
+		}
 	}
 }

@@ -39,16 +39,28 @@ var layerPrefixes = func() [128]string {
 	return t
 }()
 
-// nodeCountHint estimates the built graph's node count for slice/map
-// preallocation: the forward pass has 12 operators per decoder block
-// plus 4 shared ones; backward roughly mirrors it and adds an optimizer
-// node per parameterized operator (6 per block + 3 shared).
+// nodeCountHint is the built graph's node count, for preallocation:
+// the forward pass has 12 operators per decoder block plus 4 shared
+// ones; backward mirrors every forward node but the loss and adds an
+// optimizer node per parameterized operator (6 per block + 3 shared).
 func nodeCountHint(layers int, backward bool) int {
 	fwd := 12*layers + 4
 	if !backward {
 		return fwd
 	}
-	return 2*fwd + 6*layers + 3
+	return 2*fwd - 1 + 6*layers + 3
+}
+
+// edgeCountHint is the built graph's edge count: 15 forward
+// dependencies per decoder block plus 3 shared; backward reverses each
+// of them and adds one activation edge per backward node and one edge
+// per optimizer node.
+func edgeCountHint(layers int, backward bool) int {
+	fwd := 15*layers + 3
+	if !backward {
+		return fwd
+	}
+	return 2*fwd + (12*layers + 3) + (6*layers + 3)
 }
 
 // Build lowers a model configuration to its training (or inference)
@@ -61,22 +73,23 @@ func Build(cfg model.Config, opts BuildOptions) (*Graph, error) {
 	if opts.Batch <= 0 || opts.Seq <= 0 {
 		return nil, fmt.Errorf("graph: batch shape (%d,%d) must be positive", opts.Batch, opts.Seq)
 	}
+	g := NewSized(nodeCountHint(cfg.NumLayers, opts.Backward))
+	g.edges = make([]edge, 0, edgeCountHint(cfg.NumLayers, opts.Backward))
 	b := builder{
-		g:      NewSized(nodeCountHint(cfg.NumLayers, opts.Backward)),
+		g:      g,
 		cfg:    cfg,
 		tokens: float64(opts.Batch) * float64(opts.Seq),
 		seq:    float64(opts.Seq),
 		elem:   opts.Precision.BytesPerElement(),
-		fwd:    make([]*Node, 0, nodeCountHint(cfg.NumLayers, false)),
 	}
 	b.buildForward()
 	if opts.Backward {
 		b.buildBackward()
 	}
-	if err := b.g.Validate(); err != nil {
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return b.g, nil
+	return g, nil
 }
 
 type builder struct {
@@ -85,8 +98,6 @@ type builder struct {
 	tokens float64 // B·S
 	seq    float64
 	elem   float64 // bytes per element
-
-	fwd []*Node // forward nodes in construction (topological) order
 }
 
 // actBytes converts a per-token element count to activation bytes.
@@ -100,7 +111,6 @@ func (b *builder) add(n Node, preds ...*Node) *Node {
 	for _, pr := range preds {
 		b.g.MustEdge(pr, p)
 	}
-	b.fwd = append(b.fwd, p)
 	return p
 }
 
@@ -247,17 +257,20 @@ func (b *builder) buildDecoder(l int, in *Node, h, f, v, kvFrac, heads float64) 
 // buildBackward mirrors the forward graph: one backward node per
 // forward node (except the loss, which seeds the chain) with twice the
 // FLOPs, edges reversed, plus an optimizer node per parameterized
-// operator.
+// operator. It runs after buildForward, so the graph's nodes so far are
+// the forward pass in construction (topological) order, and its edges
+// the forward dependencies.
 func (b *builder) buildBackward() {
-	fwd := b.fwd
-	bwd := make(map[int]*Node, len(fwd))
+	fwd := b.g.nodes
+	off, succ := successorIndex(len(fwd), b.g.edges)
+	bwd := make([]*Node, len(fwd)) // by forward node ID
 
 	// Walk forward nodes in reverse construction order so every
 	// backward node's consumers already exist.
 	for i := len(fwd) - 1; i >= 0; i-- {
 		fn := fwd[i]
 		if fn.Kind == OpLoss {
-			bwd[fn.ID] = fn // gradient chain starts at the loss itself
+			bwd[i] = fn // gradient chain starts at the loss itself
 			continue
 		}
 		bn := b.g.AddNode(Node{
@@ -270,12 +283,12 @@ func (b *builder) buildBackward() {
 			InputBytes:  fn.OutputBytes + fn.InputBytes,
 			OutputBytes: fn.InputBytes + fn.ParamBytes,
 		})
-		bwd[fn.ID] = bn
+		bwd[i] = bn
 		// Activation dependency on the forward node.
 		b.g.MustEdge(fn, bn)
 		// Reversed data dependencies: grad flows consumer → producer.
-		for _, succ := range b.g.succ[fn.ID] {
-			if sb, ok := bwd[succ]; ok && sb != bn {
+		for _, s := range succ[off[i]:off[i+1]] {
+			if sb := bwd[s]; sb != nil {
 				b.g.MustEdge(sb, bn)
 			}
 		}

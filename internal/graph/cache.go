@@ -29,10 +29,11 @@ type cacheKey struct {
 var buildCache = memo.New[cacheKey, *Graph]()
 
 // Cached is a process-wide memoized Build with singleflight semantics:
-// identical (cfg, opts) pairs lower once, concurrent callers of an
-// in-flight key block until the single underlying build finishes, and
-// both successful graphs and build errors are cached (Build is a
-// deterministic pure function of its inputs).
+// identical (cfg, opts) pairs lower once while their entry stays within
+// the memo's two generations of 128 (see memo.Cache), concurrent
+// callers of an in-flight key block until the single underlying build
+// finishes, and both successful graphs and build errors are cached
+// (Build is a deterministic pure function of its inputs).
 //
 // Cached graphs are shared, not copied. This is sound because of the
 // package's immutability contract: a *Graph is frozen the moment Build

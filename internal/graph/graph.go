@@ -13,7 +13,7 @@
 //
 // A Graph is mutable only while it is being constructed. Once Build (or
 // Cached) returns, the graph — its node list, every Node's fields, and
-// the adjacency maps — is frozen: all exported Graph methods are
+// the edge list — is frozen: all exported Graph methods are
 // read-only, and consumers must never call AddNode, AddEdge or MustEdge
 // on a graph they did not construct themselves. The Cached build tier
 // shares one *Graph across platforms, compile modes and concurrent
@@ -113,32 +113,35 @@ func (n *Node) Traffic() units.Bytes {
 
 // Graph is a DAG of operator nodes.
 type Graph struct {
-	nodes []*Node
-	succ  map[int][]int
-	pred  map[int][]int
+	nodes []*Node // in ID order, each pointing into a slab
+	slab  []Node  // backing store for the newest nodes
+	edges []edge  // in insertion order
 }
 
+// edge is one data dependency, by node ID.
+type edge struct{ from, to int }
+
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{succ: map[int][]int{}, pred: map[int][]int{}}
-}
+func New() *Graph { return &Graph{} }
 
 // NewSized returns an empty graph preallocated for about n nodes.
 func NewSized(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{
-		nodes: make([]*Node, 0, n),
-		succ:  make(map[int][]int, n),
-		pred:  make(map[int][]int, n),
-	}
+	return &Graph{nodes: make([]*Node, 0, n), slab: make([]Node, 0, n)}
 }
 
-// AddNode appends a node, assigning its ID, and returns it.
+// AddNode appends a node, assigning its ID, and returns it. Nodes live
+// in a slab; a full slab is replaced, never grown in place, so every
+// pointer handed out earlier stays valid.
 func (g *Graph) AddNode(n Node) *Node {
 	n.ID = len(g.nodes)
-	p := &n
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]Node, 0, max(2*cap(g.slab), 8))
+	}
+	g.slab = append(g.slab, n)
+	p := &g.slab[len(g.slab)-1]
 	g.nodes = append(g.nodes, p)
 	return p
 }
@@ -156,8 +159,7 @@ func (g *Graph) AddEdge(from, to *Node) error {
 		to.ID >= len(g.nodes) || g.nodes[to.ID] != to {
 		return fmt.Errorf("graph: edge references foreign node")
 	}
-	g.succ[from.ID] = append(g.succ[from.ID], to.ID)
-	g.pred[to.ID] = append(g.pred[to.ID], from.ID)
+	g.edges = append(g.edges, edge{from: from.ID, to: to.ID})
 	return nil
 }
 
@@ -183,30 +185,61 @@ func (g *Graph) Node(id int) *Node {
 	return g.nodes[id]
 }
 
-// Successors returns the consumers of n.
-func (g *Graph) Successors(n *Node) []*Node { return g.resolve(g.succ[n.ID]) }
-
-// Predecessors returns the producers feeding n.
-func (g *Graph) Predecessors(n *Node) []*Node { return g.resolve(g.pred[n.ID]) }
-
-func (g *Graph) resolve(ids []int) []*Node {
-	out := make([]*Node, len(ids))
-	for i, id := range ids {
-		out[i] = g.nodes[id]
+// Successors returns the consumers of n, in edge insertion order.
+func (g *Graph) Successors(n *Node) []*Node {
+	var out []*Node
+	for _, e := range g.edges {
+		if e.from == n.ID {
+			out = append(out, g.nodes[e.to])
+		}
 	}
 	return out
+}
+
+// Predecessors returns the producers feeding n, in edge insertion
+// order.
+func (g *Graph) Predecessors(n *Node) []*Node {
+	var out []*Node
+	for _, e := range g.edges {
+		if e.to == n.ID {
+			out = append(out, g.nodes[e.from])
+		}
+	}
+	return out
+}
+
+// successorIndex returns the successors of nodes 0..n-1 over edges in
+// compressed form: node i's successors are to[off[i]:off[i+1]], in
+// edge insertion order. Every edge must start below n.
+func successorIndex(n int, edges []edge) (off, to []int) {
+	off = make([]int, n+1)
+	for _, e := range edges {
+		off[e.from+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	// Fill with off[i] as node i's cursor, which leaves it at the start
+	// of node i+1's run; shifting right by one restores the offsets.
+	to = make([]int, len(edges))
+	for _, e := range edges {
+		to[off[e.from]] = e.to
+		off[e.from]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, to
 }
 
 // TopoSort returns the nodes in a valid execution order, or an error if
 // the graph has a cycle.
 func (g *Graph) TopoSort() ([]*Node, error) {
+	off, succ := successorIndex(len(g.nodes), g.edges)
 	indeg := make([]int, len(g.nodes))
-	for _, outs := range g.succ {
-		for _, to := range outs {
-			indeg[to]++
-		}
+	for _, to := range succ {
+		indeg[to]++
 	}
-	var queue []int
+	queue := make([]int, 0, len(g.nodes))
 	for id := range g.nodes {
 		if indeg[id] == 0 {
 			queue = append(queue, id)
@@ -217,7 +250,7 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, g.nodes[id])
-		for _, to := range g.succ[id] {
+		for _, to := range succ[off[id]:off[id+1]] {
 			indeg[to]--
 			if indeg[to] == 0 {
 				queue = append(queue, to)
@@ -230,10 +263,17 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 	return order, nil
 }
 
-// Validate checks the graph is a DAG.
+// Validate checks the graph is a DAG. When every edge runs from a lower
+// ID to a higher one, as in every graph Build constructs, ID order is a
+// topological order and no sort is needed.
 func (g *Graph) Validate() error {
-	_, err := g.TopoSort()
-	return err
+	for _, e := range g.edges {
+		if e.from >= e.to {
+			_, err := g.TopoSort()
+			return err
+		}
+	}
+	return nil
 }
 
 // TotalFLOPs sums FLOPs over all nodes.

@@ -222,3 +222,25 @@ func TestBuildMonotoneProperty(t *testing.T) {
 		prev = g.TotalFLOPs()
 	}
 }
+
+// TestBuildSizeHintsAreExact: Build preallocates its node slab and edge
+// list from nodeCountHint and edgeCountHint, so a lowering fills them
+// without replacing the slab or growing the list.
+func TestBuildSizeHintsAreExact(t *testing.T) {
+	for _, layers := range []int{1, 3, 12} {
+		for _, backward := range []bool{false, true} {
+			g, err := Build(model.LLaMA2_7B().WithLayers(layers), BuildOptions{
+				Batch: 1, Seq: 64, Precision: precision.BF16, Backward: backward,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, want := g.Len(), nodeCountHint(layers, backward); n != want || len(g.slab) != n {
+				t.Errorf("L=%d backward=%v: %d nodes (%d in the last slab), hint %d", layers, backward, n, len(g.slab), want)
+			}
+			if n, want := len(g.edges), edgeCountHint(layers, backward); n != want || cap(g.edges) != want {
+				t.Errorf("L=%d backward=%v: %d edges (cap %d), hint %d", layers, backward, n, cap(g.edges), want)
+			}
+		}
+	}
+}

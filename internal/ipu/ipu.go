@@ -262,10 +262,26 @@ func (s *Sim) Compile(spec platform.TrainSpec) (*platform.CompileReport, error) 
 		},
 		Capacity: map[platform.Resource]float64{platform.ResTile: tiles},
 		Memory:   mem,
-		Notes: []string{
-			fmt.Sprintf("ipus=%d assignment=%v maxLayers=%d", ipus, layers, maxLayers),
-		},
+		Notes:    []string{stageNote(ipus, layers, maxLayers)},
 	}, nil
+}
+
+// stageNote is the report's note on the IPU count, the layers each
+// stage holds ("[a b c]") and the deepest stage.
+func stageNote(ipus int, layers []int, maxLayers int) string {
+	var buf [128]byte
+	b := append(buf[:0], "ipus="...)
+	b = strconv.AppendInt(b, int64(ipus), 10)
+	b = append(b, " assignment=["...)
+	for i, l := range layers {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
+	}
+	b = append(b, "] maxLayers="...)
+	b = strconv.AppendInt(b, int64(maxLayers), 10)
+	return string(b)
 }
 
 // Run implements platform.Platform.

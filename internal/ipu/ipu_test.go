@@ -1,6 +1,7 @@
 package ipu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -288,5 +289,29 @@ func TestBalancedIsOptimalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStageNoteMatchesSprintf: the note built with strconv reads
+// exactly as the fmt.Sprintf form it replaces, for assignments of 0 to
+// 48 stages.
+func TestStageNoteMatchesSprintf(t *testing.T) {
+	for stages := 0; stages <= 48; stages++ {
+		for _, depth := range []int{0, 1, 9, 10, 99, 100, 1024} {
+			layers := make([]int, stages)
+			maxLayers := 0
+			for i := range layers {
+				layers[i] = depth + i%3
+				maxLayers = max(maxLayers, layers[i])
+			}
+			ipus := stages + depth%2
+			want := fmt.Sprintf("ipus=%d assignment=%v maxLayers=%d", ipus, layers, maxLayers)
+			if got := stageNote(ipus, layers, maxLayers); got != want {
+				t.Fatalf("stageNote(%d, %v, %d) = %q, want %q", ipus, layers, maxLayers, got, want)
+			}
+		}
+	}
+	if got, want := stageNote(1, nil, 0), fmt.Sprintf("ipus=%d assignment=%v maxLayers=%d", 1, []int(nil), 0); got != want {
+		t.Errorf("nil assignment: %q, want %q", got, want)
 	}
 }

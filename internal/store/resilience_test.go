@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -221,9 +222,9 @@ func TestWriteBreakerTripsAndDropsWrites(t *testing.T) {
 }
 
 // TestCorruptInjectionDeletesAndMisses: an injected corrupt read is a
-// miss, not a disk fault. Its garbage bytes carry no frame magic, so
-// LoadRaw reads them as a v1 blob (a raw miss that leaves the file in
-// place); TestCorruptBlobIsAMiss covers the delete of a damaged frame.
+// miss, not a disk fault. It flips a byte of the real frame, so the
+// frame fails its CRC and LoadRaw deletes it and counts it corrupt, as
+// for bit rot on disk.
 func TestCorruptInjectionDeletesAndMisses(t *testing.T) {
 	in := mustInjector(t, faults.Spec{Rules: []faults.Rule{
 		{Op: faults.OpStoreRead, Kind: faults.KindCorrupt, Count: 1},
@@ -235,6 +236,18 @@ func TestCorruptInjectionDeletesAndMisses(t *testing.T) {
 
 	if _, ok := s.LoadRaw("WSE-2", spec.Key()); ok {
 		t.Fatal("LoadRaw hit on injected-corrupt bytes")
+	}
+	st := s.Stats()
+	if st.Corrupt != 1 {
+		t.Errorf("Corrupt = %d, want 1", st.Corrupt)
+	}
+	// Corruption deletes: the follow-up read (injector budget spent)
+	// finds no file and stays a healthy miss.
+	if _, err := os.Stat(pathFor(s.dir, "WSE-2", spec.Key())); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("corrupt blob was not deleted: stat err = %v", err)
+	}
+	if _, ok := s.LoadRaw("WSE-2", spec.Key()); ok {
+		t.Fatal("corrupt blob was not deleted")
 	}
 	if st := s.Stats(); st.ReadBreaker.State != "closed" {
 		t.Errorf("breaker = %+v; corruption is not a disk fault", st.ReadBreaker)

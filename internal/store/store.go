@@ -480,15 +480,21 @@ func (s *Store) readBlob(path string) ([]byte, error) {
 }
 
 // readFile is the injectable read syscall site. An injected corruption
-// fault "succeeds" with garbage bytes: unframed, so LoadRaw reads them
-// as a v1 blob, a raw miss that leaves the file in place.
+// fault "succeeds" with the file's real bytes, its last byte flipped,
+// as bit rot would leave them: a framed blob then fails its CRC, and
+// LoadRaw deletes it and counts it corrupt. A failed read returns its
+// real error.
 func (s *Store) readFile(path string) ([]byte, error) {
 	if s.inj != nil {
 		if err := s.inj.Fire(context.Background(), faults.OpStoreRead); err != nil {
-			if faults.IsCorrupt(err) {
-				return []byte("\x00not json"), nil
+			if !faults.IsCorrupt(err) {
+				return nil, err
 			}
-			return nil, err
+			data, rerr := os.ReadFile(path)
+			if rerr == nil && len(data) > 0 {
+				data[len(data)-1] ^= 0xff
+			}
+			return data, rerr
 		}
 	}
 	return os.ReadFile(path)
