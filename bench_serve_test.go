@@ -58,19 +58,25 @@ func serveOnce(b *testing.B, h http.Handler, req *http.Request, rd *bytes.Reader
 	return w
 }
 
-// BenchmarkWarmServe measures one warm POST /v1/run three ways:
+// BenchmarkWarmServe measures one warm POST /v1/run four ways, one
+// per rung of the serve ladder:
 //
-//	run-warm     the response-byte fast lane (L0 hit, zero JSON work)
-//	run-304      the conditional lane (If-None-Match match, no body)
-//	run-slowpath the byte cache disabled — the pre-PR warm path:
-//	             decode, resolve, memoized compile, run, marshal
+//	run-warm      the response-byte fast lane (L0 hit by body bytes,
+//	              zero JSON work)
+//	run-304       the conditional lane (If-None-Match match, no body)
+//	run-canonical a new spelling of a served spec: an L0 miss by body
+//	              bytes, then decode, resolve and an L0 hit by spec key
+//	run-slowpath  the byte cache disabled — the pre-PR warm path:
+//	              decode, resolve, memoized compile, run, marshal
 //
 // run-warm vs run-slowpath is the tentpole's speedup; the allocs/op of
 // run-warm is the zero-copy claim, enforced by CI's bench smoke.
+// run-canonical vs run-slowpath is what the canonical-key rung is
+// worth over recomputing from the compile memo.
 func BenchmarkWarmServe(b *testing.B) {
 	body := []byte(`{"platform":"wse","model":"gpt2-small"}`)
 
-	bench := func(b *testing.B, cfg server.Config, inm string, wantStatus int) {
+	bench := func(b *testing.B, cfg server.Config, inm string, wantStatus int, respell bool) {
 		b.Helper()
 		experiments.ResetCaches()
 		srv, err := server.New(cfg)
@@ -88,11 +94,30 @@ func BenchmarkWarmServe(b *testing.B) {
 				b.Fatal("priming response carried no ETag")
 			}
 		}
+		bodies := [][]byte{body}
+		if respell {
+			// b.N spellings of the primed spec, each new to L0's body
+			// key: JSON whitespace after the opening brace writes i in
+			// base 4, so every spelling is distinct and short.
+			bodies = make([][]byte, b.N)
+			for i := range bodies {
+				pad := []byte{}
+				for n := i; ; n /= 4 {
+					pad = append(pad, " \t\n\r"[n%4])
+					if n < 4 {
+						break
+					}
+				}
+				bodies[i] = append(append([]byte("{"), pad...), body[1:]...)
+			}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		w = &nullRW{h: make(http.Header)}
 		for i := 0; i < b.N; i++ {
-			rd.Seek(0, io.SeekStart)
+			bd := bodies[i%len(bodies)]
+			rd.Reset(bd)
+			req.ContentLength = int64(len(bd))
 			w.status = 0
 			srv.ServeHTTP(w, req)
 			if w.status != wantStatus {
@@ -102,12 +127,15 @@ func BenchmarkWarmServe(b *testing.B) {
 	}
 
 	b.Run("run-warm", func(b *testing.B) {
-		bench(b, server.Config{}, "", http.StatusOK)
+		bench(b, server.Config{}, "", http.StatusOK, false)
 	})
 	b.Run("run-304", func(b *testing.B) {
-		bench(b, server.Config{}, "etag", http.StatusNotModified)
+		bench(b, server.Config{}, "etag", http.StatusNotModified, false)
+	})
+	b.Run("run-canonical", func(b *testing.B) {
+		bench(b, server.Config{}, "", http.StatusOK, true)
 	})
 	b.Run("run-slowpath", func(b *testing.B) {
-		bench(b, server.Config{RespCacheBudget: -1}, "", http.StatusOK)
+		bench(b, server.Config{RespCacheBudget: -1}, "", http.StatusOK, false)
 	})
 }

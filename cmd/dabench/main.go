@@ -43,7 +43,6 @@ import (
 	"dabench/internal/experiments"
 	"dabench/internal/model"
 	"dabench/internal/platform"
-	"dabench/internal/precision"
 	"dabench/internal/provenance"
 	"dabench/internal/report"
 	"dabench/internal/scenario"
@@ -51,8 +50,6 @@ import (
 	"dabench/internal/sweep"
 	"dabench/internal/trace"
 	"dabench/internal/version"
-
-	dabench "dabench"
 )
 
 func main() {
@@ -392,28 +389,14 @@ func runProfile(args []string) error {
 		return err
 	}
 
-	p, err := pickPlatform(*plat)
-	if err != nil {
-		return err
-	}
-	cfg, ok := model.ByName(*mdl)
+	p, ok := experiments.SharedPlatform(*plat)
 	if !ok {
-		return fmt.Errorf("unknown model %q (try: dabench list)", *mdl)
+		return fmt.Errorf("unknown platform %q (valid: %s)", *plat, strings.Join(experiments.PlatformNames(), ", "))
 	}
-	if *layers > 0 {
-		cfg = cfg.WithLayers(*layers)
-	}
-	f, err := precision.Parse(*prec)
+	spec, err := platform.ParseSpec(*mdl, *layers, *batch, *seq, *prec, *mode)
 	if err != nil {
 		return err
 	}
-	spec := platform.TrainSpec{Model: cfg, Batch: *batch, Seq: *seq, Precision: f}
-	m, err := platform.ParseMode(*mode)
-	if err != nil {
-		return err
-	}
-	spec.Par.Mode = m
-
 	prof, err := core.Profile(p, spec)
 	if err != nil {
 		return err
@@ -461,21 +444,6 @@ func runAnalyze(args []string) error {
 		return tbl.WriteCSV(os.Stdout)
 	}
 	return tbl.WriteText(os.Stdout)
-}
-
-func pickPlatform(name string) (platform.Platform, error) {
-	switch strings.ToLower(name) {
-	case "wse", "wse-2", "cerebras":
-		return dabench.NewWSE(), nil
-	case "rdu", "sn30", "sambanova":
-		return dabench.NewRDU(), nil
-	case "ipu", "bow", "graphcore":
-		return dabench.NewIPU(), nil
-	case "gpu", "a100":
-		return dabench.NewGPU(), nil
-	default:
-		return nil, fmt.Errorf("unknown platform %q", name)
-	}
 }
 
 func runList() error {

@@ -34,14 +34,23 @@ func TestRunProfile(t *testing.T) {
 	if err := run([]string{"profile", "-platform", "nope"}); err == nil {
 		t.Error("unknown platform accepted")
 	}
-	if err := run([]string{"profile", "-model", "nope"}); err == nil {
-		t.Error("unknown model accepted")
+	const wantModelErr = `unknown model "nope" (try: dabench list)`
+	if err := run([]string{"profile", "-model", "nope"}); err == nil || err.Error() != wantModelErr {
+		t.Errorf("unknown model: err = %v, want %s", err, wantModelErr)
 	}
 	if err := run([]string{"profile", "-precision", "int4"}); err == nil {
 		t.Error("unknown precision accepted")
 	}
 	if err := run([]string{"profile", "-platform", "rdu", "-mode", "O7"}); err == nil {
 		t.Error("unknown mode accepted")
+	}
+	// A negative depth is rejected, as /v1/run rejects it; zero batch
+	// and seq take the defaults, as they do on /v1/run.
+	if err := run([]string{"profile", "-layers", "-1"}); err == nil {
+		t.Error("negative -layers accepted")
+	}
+	if err := run([]string{"profile", "-layers", "2", "-batch", "0", "-seq", "0"}); err != nil {
+		t.Errorf("-batch 0 -seq 0 rejected: %v", err)
 	}
 }
 
@@ -139,7 +148,7 @@ func TestHelpAndDefault(t *testing.T) {
 
 func TestPickPlatformAliases(t *testing.T) {
 	for _, name := range []string{"wse", "cerebras", "rdu", "sambanova", "ipu", "graphcore", "gpu", "a100"} {
-		if _, err := pickPlatform(name); err != nil {
+		if err := run([]string{"profile", "-platform", name, "-layers", "2"}); err != nil {
 			t.Errorf("alias %q rejected: %v", name, err)
 		}
 	}

@@ -13,6 +13,8 @@
 package platform
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -113,6 +115,39 @@ type TrainSpec struct {
 	Seq       int
 	Precision precision.Format
 	Par       Parallelism
+}
+
+// ParseSpec resolves the training-configuration knobs every entry point
+// accepts (the CLI's profile flags, the server's run and sweep
+// requests, a scenario's base) into a TrainSpec, so the defaults and
+// the vocabulary cannot drift between them. Layers 0 keeps the preset's
+// depth; zero batch and seq and an empty precision take the defaults
+// 512, 1024 and FP16. The parallelism degrees stay zero and the spec is
+// not validated, so callers set parallelism before Validate.
+func ParseSpec(modelName string, layers, batch, seq int, prec, mode string) (TrainSpec, error) {
+	if modelName == "" {
+		return TrainSpec{}, errors.New("model is required (run `dabench list` for the preset names)")
+	}
+	cfg, ok := model.ByName(modelName)
+	if !ok {
+		return TrainSpec{}, fmt.Errorf("unknown model %q (try: dabench list)", modelName)
+	}
+	if layers < 0 {
+		return TrainSpec{}, fmt.Errorf("layers %d must be >= 0", layers)
+	}
+	if layers > 0 {
+		cfg = cfg.WithLayers(layers)
+	}
+	f, err := precision.Parse(cmp.Or(prec, "FP16"))
+	if err != nil {
+		return TrainSpec{}, err
+	}
+	m, err := ParseMode(mode)
+	if err != nil {
+		return TrainSpec{}, err
+	}
+	return TrainSpec{Model: cfg, Batch: cmp.Or(batch, 512), Seq: cmp.Or(seq, 1024),
+		Precision: f, Par: Parallelism{Mode: m}}, nil
 }
 
 // Validate rejects inconsistent specs.

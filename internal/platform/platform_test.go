@@ -2,9 +2,11 @@ package platform
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"dabench/internal/model"
+	"dabench/internal/precision"
 )
 
 func TestTrainSpecValidate(t *testing.T) {
@@ -87,5 +89,59 @@ func TestCompileError(t *testing.T) {
 	}
 	if err.Error() != "WSE-2: compile failed: OOM" {
 		t.Errorf("message = %q", err.Error())
+	}
+}
+
+// TestParseSpec pins the one training-configuration resolver: zero
+// values take the defaults, a positive depth overrides the preset's,
+// and every unknown or missing name is an error, not a default.
+func TestParseSpec(t *testing.T) {
+	cases := []struct {
+		name               string
+		model              string
+		layers, batch, seq int
+		prec, mode         string
+		wantLayers         int
+		wantBatch, wantSeq int
+		wantPrec           precision.Format
+		wantMode           CompileMode
+	}{
+		{"defaults", "gpt2-small", 0, 0, 0, "", "", 12, 512, 1024, precision.FP16, ModeDefault},
+		{"depth override", "gpt2-small", 4, 0, 0, "", "", 4, 512, 1024, precision.FP16, ModeDefault},
+		{"explicit", "gpt2-small", 2, 8, 256, "bf16", "o3", 2, 8, 256, precision.BF16, ModeO3},
+	}
+	for _, c := range cases {
+		spec, err := ParseSpec(c.model, c.layers, c.batch, c.seq, c.prec, c.mode)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if spec.Model.NumLayers != c.wantLayers || spec.Batch != c.wantBatch || spec.Seq != c.wantSeq ||
+			spec.Precision != c.wantPrec {
+			t.Errorf("%s: got %d layers, batch %d, seq %d, %s", c.name,
+				spec.Model.NumLayers, spec.Batch, spec.Seq, spec.Precision)
+		}
+		if !reflect.DeepEqual(spec.Par, Parallelism{Mode: c.wantMode}) {
+			t.Errorf("%s: parallelism %+v, want only the mode set", c.name, spec.Par)
+		}
+	}
+	if spec, _ := ParseSpec("gpt2-small", 0, 0, 0, "", ""); spec.Model.Name != model.GPT2Small().Name {
+		t.Errorf("depth 0 renamed the preset: %q", spec.Model.Name)
+	}
+
+	for name, args := range map[string]struct {
+		model      string
+		layers     int
+		prec, mode string
+	}{
+		"negative depth":    {"gpt2-small", -1, "", ""},
+		"empty model":       {"", 0, "", ""},
+		"unknown model":     {"gpt5", 0, "", ""},
+		"unknown precision": {"gpt2-small", 0, "int4", ""},
+		"unknown mode":      {"gpt2-small", 0, "", "O7"},
+	} {
+		if _, err := ParseSpec(args.model, args.layers, 0, 0, args.prec, args.mode); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

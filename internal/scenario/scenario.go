@@ -45,7 +45,6 @@ import (
 	"strings"
 
 	"dabench/internal/experiments"
-	"dabench/internal/model"
 	"dabench/internal/platform"
 	"dabench/internal/precision"
 	"dabench/internal/report"
@@ -95,8 +94,8 @@ type Scenario struct {
 }
 
 // Base is the fixed workload underneath the grid: the same knobs as
-// the server's run request, with the same defaults (batch 512, seq
-// 1024, FP16).
+// the server's run request, resolved by the same platform.ParseSpec
+// with the same defaults (batch 512, seq 1024, FP16).
 type Base struct {
 	Model     string `json:"model"`
 	Layers    int    `json:"layers,omitempty"`
@@ -249,41 +248,13 @@ func (sc *Scenario) compile() (*axes, error) {
 		return nil, fmt.Errorf("scenario: baseline %q is not in platforms", sc.Baseline)
 	}
 
-	// The fixed base spec, with the server's defaults.
-	if sc.Base.Model == "" {
-		return nil, errors.New("scenario: base.model is required")
-	}
-	cfg, ok := model.ByName(sc.Base.Model)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown model %q", sc.Base.Model)
-	}
-	if sc.Base.Layers < 0 {
-		return nil, fmt.Errorf("scenario: base.layers %d must be >= 0", sc.Base.Layers)
-	}
-	if sc.Base.Layers > 0 {
-		cfg = cfg.WithLayers(sc.Base.Layers)
-	}
-	a.base = platform.TrainSpec{Model: cfg, Batch: sc.Base.Batch, Seq: sc.Base.Seq}
-	if a.base.Batch == 0 {
-		a.base.Batch = 512
-	}
-	if a.base.Seq == 0 {
-		a.base.Seq = 1024
-	}
-	prec := sc.Base.Precision
-	if prec == "" {
-		prec = "FP16"
-	}
-	f, err := precision.Parse(prec)
+	// The fixed base spec, resolved as every entry point resolves one.
+	base, err := platform.ParseSpec(sc.Base.Model, sc.Base.Layers, sc.Base.Batch, sc.Base.Seq,
+		sc.Base.Precision, sc.Base.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: base: %w", err)
 	}
-	a.base.Precision = f
-	mode, err := platform.ParseMode(sc.Base.Mode)
-	if err != nil {
-		return nil, err
-	}
-	a.base.Par.Mode = mode
+	a.base = base
 
 	// The grid axes: a named axis sweeps and labels; an omitted one
 	// holds the base value.

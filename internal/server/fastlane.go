@@ -17,19 +17,22 @@ import (
 //	L0 body    the verbatim request bytes as the cache key (/v1/run) —
 //	           one allocation-free map lookup, no decode at all; the
 //	           entry's ETag answers a conditional hit with 304.
-//	ETag/304   If-None-Match matches the request's strong ETag — no
-//	           body at all, answered before admission.
 //	L0 bytes   the in-process response-byte LRU (s.resp) under the
-//	           canonical (platform, spec) key — one map lookup, the
-//	           cached bytes go straight to the socket.
-//	L2 raw     the framed blob's response section (store.LoadRaw) —
-//	           one read, zero JSON decode, refills L0 on the way out.
+//	           canonical key: (platform, spec) for /v1/run, (name,
+//	           format) for a scenario GET — one map lookup, the cached
+//	           bytes go straight to the socket.
+//	ETag/304   If-None-Match matches the request's strong ETag — no
+//	           body at all (/v1/run, /v1/sweep, scenario GETs).
+//	L2 raw     the framed blob's response section (store.LoadRaw,
+//	           /v1/run) — one read, zero JSON decode, refills L0 on the
+//	           way out.
 //
-// Only then does a request acquire an admission slot and compute. The
-// tiers are only reachable for deterministic endpoints: every ETag
-// below is derived from the request's identity (pipeline version ⊕
-// inputs), never from response bytes, which is what lets a 304 be
-// answered without computing anything.
+// Every answer on these rungs goes through fastLane; only a miss on all
+// of them claims an admission slot (admit) and computes. /v1/sweep
+// keeps no L0 entries: no client repeats a sweep unconditionally, and
+// its 304 needs none. Every ETag below is derived from the request's
+// identity (pipeline version ⊕ inputs), never from response bytes,
+// which is what lets a 304 be answered without computing anything.
 
 const ctJSON = "application/json"
 
@@ -78,33 +81,38 @@ func runRespKey(platformName, specKey string) string {
 	return "run\x00" + platformName + "\x00" + specKey
 }
 
+// identityTag is a strong ETag over a request identity: one sha256
+// over the NUL-joined parts, hex-encoded and quoted per RFC 9110. The
+// first part names the entity and, where its bytes depend on the
+// simulators, the pipeline version.
+func identityTag(parts ...string) string {
+	h := sha256.New()
+	for i, part := range parts {
+		if i > 0 {
+			h.Write([]byte{0})
+		}
+		h.Write([]byte(part))
+	}
+	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
+}
+
 // sweepETag is the strong ETag of one synchronous sweep response: the
 // pipeline version, platform and every point's spec key in order. The
 // point labels derive from the specs, so the key set pins the whole
 // body.
 func sweepETag(platformName string, specs []platform.TrainSpec) string {
-	h := sha256.New()
-	h.Write([]byte("dabench/sweep/v" + strconv.Itoa(store.PipelineVersion)))
-	h.Write([]byte{0})
-	h.Write([]byte(platformName))
+	parts := []string{"dabench/sweep/v" + strconv.Itoa(store.PipelineVersion), platformName}
 	for _, sp := range specs {
-		h.Write([]byte{0})
-		h.Write([]byte(sp.Key()))
+		parts = append(parts, sp.Key())
 	}
-	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
+	return identityTag(parts...)
 }
 
 // scenarioETag is the strong ETag of one built-in library scenario
 // rendering. The library is immutable within a build and the engine
 // deterministic, so (pipeline version, name, format) pins the bytes.
 func scenarioETag(name, format string) string {
-	h := sha256.New()
-	h.Write([]byte("dabench/scenario/v" + strconv.Itoa(store.PipelineVersion)))
-	h.Write([]byte{0})
-	h.Write([]byte(name))
-	h.Write([]byte{0})
-	h.Write([]byte(format))
-	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
+	return identityTag("dabench/scenario/v"+strconv.Itoa(store.PipelineVersion), name, format)
 }
 
 // scenarioRespKey is the L0 cache key of one scenario GET rendering.
@@ -118,17 +126,11 @@ func scenarioRespKey(name, format string) string {
 // boot, so without a journal the server's start time joins the key to
 // keep a stale client ETag from matching a different job's result.
 func (s *Server) jobResultETag(id, format string) string {
-	h := sha256.New()
-	if s.jobs.Durable() {
-		h.Write([]byte("dabench/job-result"))
-	} else {
-		h.Write([]byte("dabench/job-result/boot:" + strconv.FormatInt(s.start.UnixNano(), 10)))
+	kind := "dabench/job-result"
+	if !s.jobs.Durable() {
+		kind += "/boot:" + strconv.FormatInt(s.start.UnixNano(), 10)
 	}
-	h.Write([]byte{0})
-	h.Write([]byte(id))
-	h.Write([]byte{0})
-	h.Write([]byte(format))
-	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
+	return identityTag(kind, id, format)
 }
 
 // etagMatches reports whether an If-None-Match header value matches
@@ -158,18 +160,44 @@ func etagMatches(inm, etag string) bool {
 	return false
 }
 
-// writeNotModified answers 304: the ETag echoes so caches revalidate,
-// and per RFC 9110 a 304 carries no body.
-func (s *Server) writeNotModified(w http.ResponseWriter, etag string) {
-	w.Header()["Etag"] = []string{etag}
-	w.WriteHeader(http.StatusNotModified)
-	s.notModified.Add(1)
+// fastLane closes out an answer given before admission (an L0 hit, a
+// 304, an L2 raw read): an explicit zero admission sample — without it
+// the admission histogram would describe only cold requests — then the
+// stage timing and the served count.
+func (s *Server) fastLane(w http.ResponseWriter, st *stageTimer) {
+	st.observe(stgAdmission, 0)
+	s.finishStages(w, st)
+	s.served.Add(1)
 }
 
-// writeNotModifiedEntry is writeNotModified for a cached entry, reusing
-// its pre-built ETag slice — the conditional lane's only allocation.
-func (s *Server) writeNotModifiedEntry(w http.ResponseWriter, e *respEntry) {
-	w.Header()["Etag"] = e.etagH
+// serveHit answers a request from an L0 entry: a bare 304 when inm
+// matches the entry's tag, else the cached bytes.
+func (s *Server) serveHit(w http.ResponseWriter, st *stageTimer, e *respEntry, inm string) {
+	s.fastLane(w, st)
+	if inm != "" && etagMatches(inm, e.etag) {
+		s.writeNotModified(w, e.etagH)
+		return
+	}
+	serveEntry(w, e)
+}
+
+// conditional answers 304 before admission when inm matches etag, the
+// request-identity tag, and reports whether it did.
+func (s *Server) conditional(w http.ResponseWriter, st *stageTimer, inm, etag string) bool {
+	if inm == "" || !etagMatches(inm, etag) {
+		return false
+	}
+	s.fastLane(w, st)
+	s.writeNotModified(w, []string{etag})
+	return true
+}
+
+// writeNotModified answers 304 with etagH as the ETag header value, so
+// caches revalidate; per RFC 9110 a 304 carries no body. An L0 hit
+// passes its entry's pre-built slice, the conditional lane's only
+// allocation otherwise.
+func (s *Server) writeNotModified(w http.ResponseWriter, etagH []string) {
+	w.Header()["Etag"] = etagH
 	w.WriteHeader(http.StatusNotModified)
 	s.notModified.Add(1)
 }
@@ -199,13 +227,15 @@ func (s *Server) cacheAndServe(w http.ResponseWriter, cacheKey, etag, contentTyp
 	return e
 }
 
-// serveWithETag writes a JSON response with its ETag and an explicit
-// Content-Length, without touching L0 — job results live on disk (or
-// in the manager) already; a second in-memory copy buys nothing.
-func serveWithETag(w http.ResponseWriter, etag, contentType string, body []byte) {
+// writeBody writes a 200 body that L0 does not keep (sweeps, experiment
+// renders, scenario POSTs, job results) with an explicit
+// Content-Length, so it is never chunked, and its ETag when it has one.
+func writeBody(w http.ResponseWriter, etag, contentType string, body []byte) {
 	h := w.Header()
-	h["Etag"] = []string{etag}
-	h.Set("Content-Type", contentType)
+	if etag != "" {
+		h["Etag"] = []string{etag}
+	}
+	h["Content-Type"] = []string{contentType}
 	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)

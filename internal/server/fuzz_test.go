@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"testing"
 
 	"dabench/internal/gpu"
@@ -73,6 +74,69 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if _, err := sim.Run(cr); err != nil {
 			t.Errorf("run after a successful compile failed (/v1/run would answer 500): %v", err)
+		}
+	})
+}
+
+// FuzzSweepRequest drives the body decode and cross-product expansion
+// that /v1/sweep and /v1/jobs share with arbitrary bodies. The strict
+// decode and points must never panic. An accepted sweep has 1 to
+// budget points with one label each, every point is a valid spec, and
+// axes counts exactly as many points; an over-budget rejection names
+// more points than the budget.
+//
+//	go test -run '^$' -fuzz FuzzSweepRequest -fuzztime 20s ./internal/server
+func FuzzSweepRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"platform":"wse","model":"gpt2-small","layer_counts":[2,4],"batches":[256]}`,
+		`{"platform":"wse","model":"gpt2-small","seq":1024,"precision":"FP16","batches":[256,512],"layer_counts":[6,12]}`,
+		`{"platform":"rdu","model":"gpt2-small","mode":"O1","layer_counts":[1,2],"precisions":["BF16","FP32"]}`,
+		`{"platform":"ipu","model":"gpt2-small","batches":[128,256,512,1024],"budget":3}`,
+		`{"platform":"gpu","model":"llama2-7b","layer_counts":[1024,1025]}`,
+		`{"platform":"wse","model":"gpt2-small","layer_counts":[0]}`,
+		`{"platform":"wse","model":"gpt2-small","batches":[-1]}`,
+		`{"platform":"wse","model":"gpt2-small","precisions":["int4"]}`,
+		`{"platform":"wse","model":"gpt2-small","layer_counts":[1,2,3,4,5,6,7,8],"batches":[1,2,3,4,5,6,7,8,9]}`,
+		`{"platform":"wse","model":"gpt2-small","budget":-5}`,
+		`{"kind":"scenario","scenario":{}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	const maxPoints = 64
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeSweepRequest(body)
+		if err != nil {
+			return
+		}
+		budget := maxPoints
+		if req.Budget > 0 && req.Budget < budget {
+			budget = req.Budget
+		}
+		_, specs, labels, err := req.points(budget)
+		if err != nil {
+			var be *BudgetError
+			if errors.As(err, &be) && (be.Budget != budget || be.Points <= int64(budget)) {
+				t.Fatalf("budget rejection of %d points against %d (budget %d)", be.Points, be.Budget, budget)
+			}
+			return
+		}
+		if n := len(specs); n < 1 || n > budget || len(labels) != n {
+			t.Fatalf("accepted %d points with %d labels (budget %d)", n, len(labels), budget)
+		}
+		for i, spec := range specs {
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("point %d (%s) fails Validate: %v", i, labels[i], err)
+			}
+			if labels[i] == "" {
+				t.Fatalf("point %d has no label", i)
+			}
+		}
+		a, err := req.axes()
+		if err != nil {
+			t.Fatalf("axes rejects what points accepted: %v", err)
+		}
+		if a.product() != int64(len(specs)) {
+			t.Fatalf("axes counts %d points, points expanded %d", a.product(), len(specs))
 		}
 	})
 }

@@ -77,20 +77,26 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Journal the raw body, not a re-marshaled struct: replay must
 	// re-execute exactly what the client sent.
-	v, err := s.jobs.Submit(json.RawMessage(raw), int(n))
+	s.submitJob(w, json.RawMessage(raw), int(n))
+}
+
+// submitJob journals one validated job request of points points and
+// answers 202 with its view and Location, or the queue's refusal: the
+// submission path POST /v1/jobs and an over-budget POST /v1/scenarios
+// share.
+func (s *Server) submitJob(w http.ResponseWriter, req json.RawMessage, points int) {
+	v, err := s.jobs.Submit(req, points)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		s.writeQueueFull(w)
-		return
 	case errors.Is(err, jobs.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, CodeInternal, "job manager is shut down")
-		return
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
+	default:
+		w.Header().Set("Location", "/v1/jobs/"+v.ID)
+		writeJSON(w, http.StatusAccepted, v)
 	}
-	w.Header().Set("Location", "/v1/jobs/"+v.ID)
-	writeJSON(w, http.StatusAccepted, v)
 }
 
 // writeJobCapExceeded answers a submission whose cross product exceeds
@@ -166,20 +172,22 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	// any rendering.
 	etag := s.jobResultETag(id, format)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		s.writeNotModified(w, etag)
+		s.writeNotModified(w, []string{etag})
 		return
 	}
 	if format == "" {
 		// The stored document is the /v1/sweep encoder's exact output;
 		// serving the bytes untouched keeps async results byte-identical
 		// to their synchronous equivalents.
-		serveWithETag(w, etag, ctJSON, raw)
+		writeBody(w, etag, ctJSON, raw)
 		return
 	}
 
+	// A scenario job's tables render through the same shared path as
+	// the synchronous endpoint and the CLI, byte for byte; a sweep job's
+	// through a results table of its own.
+	var tables []*report.Table
 	if isScenarioResult(raw) {
-		// A scenario job: its tables render through the same shared
-		// path as the synchronous endpoint and the CLI, byte for byte.
 		// A blob that classifies as a scenario but no longer decodes
 		// (written by an incompatible build) is an explicit error, not
 		// a silent fall-through to the sweep renderer.
@@ -189,44 +197,32 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 				"stored scenario result for "+strconv.Quote(id)+" does not decode (written by an incompatible version?)")
 			return
 		}
-		body, contentType, rerr := renderScenario(&out, format) // "csv" or "table" (rendered as text) here
-		if rerr != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, rerr.Error())
+		tables = out.Tables
+	} else {
+		var resp SweepResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			writeError(w, http.StatusInternalServerError, CodeInternal, "stored result corrupt: "+err.Error())
 			return
 		}
-		serveWithETag(w, etag, contentType, body)
-		return
-	}
-
-	var resp SweepResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, "stored result corrupt: "+err.Error())
-		return
-	}
-	tbl := report.New(fmt.Sprintf("Job %s — %s, %d points, %d failed", id, resp.Platform, resp.Points, resp.Failed),
-		"Label", "Status", "Step time s", "Tokens/s", "TFLOPS", "Efficiency")
-	for _, res := range resp.Results {
-		if res.Failed {
-			tbl.Add(res.Label, "Fail", "-", "-", "-", "-")
-			continue
+		tbl := report.New(fmt.Sprintf("Job %s — %s, %d points, %d failed", id, resp.Platform, resp.Points, resp.Failed),
+			"Label", "Status", "Step time s", "Tokens/s", "TFLOPS", "Efficiency")
+		for _, res := range resp.Results {
+			if res.Failed {
+				tbl.Add(res.Label, "Fail", "-", "-", "-", "-")
+				continue
+			}
+			tbl.Add(res.Label, "ok", report.F(res.StepTimeSec), report.F(res.TokensPerSec),
+				report.F(res.TFLOPS), report.F(res.Efficiency))
 		}
-		tbl.Add(res.Label, "ok", report.F(res.StepTimeSec), report.F(res.TokensPerSec),
-			report.F(res.TFLOPS), report.F(res.Efficiency))
+		tables = []*report.Table{tbl}
 	}
-	var buf bytes.Buffer
-	var rerr error
-	contentType := "text/plain; charset=utf-8"
-	if format == "csv" {
-		contentType = "text/csv; charset=utf-8"
-		rerr = tbl.WriteCSV(&buf)
-	} else {
-		rerr = tbl.WriteText(&buf)
-	}
-	if rerr != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, rerr.Error())
+	buf, contentType, err := render(tables, format, nil) // "csv" or "table" (rendered as text) here
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	serveWithETag(w, etag, contentType, buf.Bytes())
+	writeBody(w, etag, contentType, buf.Bytes())
+	putBuf(buf)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

@@ -60,7 +60,7 @@ func (s *Server) initMetrics() {
 	s.reg.RegisterCollector(s.collect)
 }
 
-// pipelineStage is the experiments.SetStageHook target: it routes one
+// pipelineStage is the platform.SetStageHook target: it routes one
 // real Compile/Run invocation into its platform histogram. The map is
 // read-only after initMetrics, so the hook is lock-free.
 func (s *Server) pipelineStage(platformName, stage string, d time.Duration) {

@@ -119,25 +119,32 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("sweep of %d points exceeds the budget of %d", e.Points, e.Budget)
 }
 
-// jsonBufPool recycles the encode buffers every response marshals
-// through. Buffers that grew past maxPooledBuf are dropped instead of
-// pinned — one multi-megabyte sweep response must not turn the pool
-// into a leak.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool recycles the buffers every response body is encoded or
+// rendered into. Buffers that grew past maxPooledBuf are dropped
+// instead of pinned — one multi-megabyte sweep response must not turn
+// the pool into a leak.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBuf = 1 << 20
+
+// getBuf takes an empty buffer from the pool; the caller returns it
+// via putBuf once its bytes are written.
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
 
 // encodeJSON marshals v into a pooled buffer with the server's one
 // encoder configuration (HTML escaping off, trailing newline — every
 // byte-identity guarantee in this package rides on all paths using
 // exactly this). The caller returns the buffer via putBuf.
 func encodeJSON(v any) (*bytes.Buffer, error) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf := getBuf()
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
-		jsonBufPool.Put(buf)
+		putBuf(buf)
 		return nil, err
 	}
 	return buf, nil
@@ -145,7 +152,7 @@ func encodeJSON(v any) (*bytes.Buffer, error) {
 
 func putBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBuf {
-		jsonBufPool.Put(buf)
+		bufPool.Put(buf)
 	}
 }
 
@@ -273,61 +280,27 @@ func decodeLean(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // resolve maps the request onto the process-wide cached platform set
-// and a validated TrainSpec. All errors are client errors.
+// and a validated TrainSpec: the platform lookup, then the shared
+// training-configuration parser, then the parallelism fields. All
+// errors are client errors.
 func (req RunRequest) resolve() (platform.CachedPlatform, platform.TrainSpec, error) {
-	var spec platform.TrainSpec
 	if req.Platform == "" {
-		return nil, spec, errors.New("platform is required (wse, rdu, ipu, gpu)")
+		return nil, platform.TrainSpec{}, errors.New("platform is required (wse, rdu, ipu, gpu)")
 	}
 	p, ok := experiments.SharedPlatform(req.Platform)
 	if !ok {
-		return nil, spec, fmt.Errorf("unknown platform %q (valid: %s)",
+		return nil, platform.TrainSpec{}, fmt.Errorf("unknown platform %q (valid: %s)",
 			req.Platform, strings.Join(experiments.PlatformNames(), ", "))
 	}
-	if req.Model == "" {
-		return nil, spec, errors.New("model is required (run `dabench list` for the preset names)")
-	}
-	cfg, ok := model.ByName(req.Model)
-	if !ok {
-		return nil, spec, fmt.Errorf("unknown model %q", req.Model)
-	}
-	if req.Layers < 0 {
-		return nil, spec, fmt.Errorf("layers %d must be >= 0", req.Layers)
-	}
-	if req.Layers > 0 {
-		cfg = cfg.WithLayers(req.Layers)
-	}
-
-	spec = platform.TrainSpec{Model: cfg, Batch: req.Batch, Seq: req.Seq}
-	if spec.Batch == 0 {
-		spec.Batch = 512
-	}
-	if spec.Seq == 0 {
-		spec.Seq = 1024
-	}
-	prec := req.Precision
-	if prec == "" {
-		prec = "FP16"
-	}
-	f, err := precision.Parse(prec)
+	spec, err := platform.ParseSpec(req.Model, req.Layers, req.Batch, req.Seq, req.Precision, req.Mode)
 	if err != nil {
 		return nil, spec, err
 	}
-	spec.Precision = f
-
-	spec.Par = platform.Parallelism{
-		DataParallel:     req.DataParallel,
-		TensorParallel:   req.TensorParallel,
-		PipelineParallel: req.PipelineParallel,
-		LayerAssignment:  req.LayerAssignment,
-		WeightStreaming:  req.WeightStreaming,
-	}
-	mode, err := platform.ParseMode(req.Mode)
-	if err != nil {
-		return nil, spec, err
-	}
-	spec.Par.Mode = mode
-
+	spec.Par.DataParallel = req.DataParallel
+	spec.Par.TensorParallel = req.TensorParallel
+	spec.Par.PipelineParallel = req.PipelineParallel
+	spec.Par.LayerAssignment = req.LayerAssignment
+	spec.Par.WeightStreaming = req.WeightStreaming
 	if err := spec.Validate(); err != nil {
 		return nil, spec, err
 	}

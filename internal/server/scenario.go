@@ -4,14 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"dabench/internal/jobs"
+	"dabench/internal/experiments"
+	"dabench/internal/report"
 	"dabench/internal/scenario"
 )
 
@@ -86,35 +86,25 @@ func (s *Server) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	inm := r.Header.Get("If-None-Match")
 	etag := scenarioETag(name, format)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		st.observe(stgAdmission, 0)
-		s.finishStages(w, &st)
-		s.writeNotModified(w, etag)
-		s.served.Add(1)
+	if s.conditional(w, &st, inm, etag) {
 		return
 	}
 	ck := scenarioRespKey(name, format)
 	if s.resp != nil {
 		if e, ok := s.resp.Get(ck); ok {
-			st.observe(stgAdmission, 0)
-			s.finishStages(w, &st)
-			serveEntry(w, e)
-			s.served.Add(1)
+			s.serveHit(w, &st, e, inm)
 			return
 		}
 	}
 
-	t := time.Now()
-	if !s.acquire(w) {
+	ctx, cancel, ok := s.admit(w, r, &st)
+	if !ok {
 		return
 	}
-	st.observe(stgAdmission, time.Since(t))
-	defer s.release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	defer s.served.Add(1)
-	t = time.Now()
+	defer s.release(cancel)
+	t := time.Now()
 	out, err := scenario.Run(ctx, sc, scenario.RunOptions{})
 	st.observe(stgRun, time.Since(t))
 	if err != nil {
@@ -122,14 +112,15 @@ func (s *Server) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t = time.Now()
-	body, contentType, err := renderScenario(out, format)
+	buf, contentType, err := render(out.Tables, format, out)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	st.observe(stgRender, time.Since(t))
 	s.finishStages(w, &st)
-	s.cacheAndServe(w, ck, etag, contentType, body)
+	s.cacheAndServe(w, ck, etag, contentType, bytes.Clone(buf.Bytes()))
+	putBuf(buf)
 }
 
 // handleScenarioSubmit executes a posted scenario document: under the
@@ -170,32 +161,16 @@ func (s *Server) handleScenarioSubmit(w http.ResponseWriter, r *http.Request) {
 			s.writeJobCapExceeded(w, "scenario", int64(total))
 			return
 		}
-		v, err := s.jobs.Submit(scenarioJobRequest(raw), total)
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			s.writeQueueFull(w)
-			return
-		case errors.Is(err, jobs.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, CodeInternal, "job manager is shut down")
-			return
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-			return
-		}
-		w.Header().Set("Location", "/v1/jobs/"+v.ID)
-		writeJSON(w, http.StatusAccepted, v)
+		s.submitJob(w, scenarioJobRequest(raw), total)
 		return
 	}
 
-	t := time.Now()
-	if !s.acquire(w) {
+	ctx, cancel, ok := s.admit(w, r, &st)
+	if !ok {
 		return
 	}
-	st.observe(stgAdmission, time.Since(t))
-	defer s.release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	t = time.Now()
+	defer s.release(cancel)
+	t := time.Now()
 	out, err := scenario.Run(ctx, sc, scenario.RunOptions{})
 	st.observe(stgRun, time.Since(t))
 	if err != nil {
@@ -203,43 +178,39 @@ func (s *Server) handleScenarioSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t = time.Now()
-	body, contentType, err := renderScenario(out, format)
+	buf, contentType, err := render(out.Tables, format, out)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	st.observe(stgRender, time.Since(t))
 	s.finishStages(w, &st)
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = w.Write(body)
-	s.served.Add(1)
+	writeBody(w, "", contentType, buf.Bytes())
+	putBuf(buf)
 }
 
-// renderScenario materializes one scenario outcome in the requested
-// format as (body, content type). Text and CSV go through
-// Outcome.Render — the shared experiments.Result.Render path that
-// keeps the bytes identical to the CLI's stdout and the async job
-// result for the same scenario; JSON goes through the server's one
-// encoder configuration for the same reason.
-func renderScenario(out *scenario.Outcome, format string) ([]byte, string, error) {
-	switch format {
-	case "json":
-		body, err := marshalJSON(out)
-		return body, ctJSON, err
-	case "csv":
-		var buf bytes.Buffer
-		if err := out.Render(&buf, true); err != nil {
-			return nil, "", err
-		}
-		return buf.Bytes(), "text/csv; charset=utf-8", nil
-	default: // text
-		var buf bytes.Buffer
-		if err := out.Render(&buf, false); err != nil {
-			return nil, "", err
-		}
-		return buf.Bytes(), "text/plain; charset=utf-8", nil
+// render materializes a document in the requested format into a
+// pooled buffer, returned with its content type; the caller writes the
+// bytes and returns the buffer via putBuf. CSV and text (any other
+// format) render tables through experiments.Result.Render — the shared
+// path that keeps the bytes identical to the CLI's stdout and to an
+// async job's rendered result; "json" and "trace" encode doc through
+// the server's one encoder configuration for the same reason.
+func render(tables []*report.Table, format string, doc any) (*bytes.Buffer, string, error) {
+	if format == "json" || format == "trace" {
+		buf, err := encodeJSON(doc)
+		return buf, ctJSON, err
 	}
+	contentType := "text/plain; charset=utf-8"
+	if format == "csv" {
+		contentType = "text/csv; charset=utf-8"
+	}
+	buf := getBuf()
+	if err := (&experiments.Result{Tables: tables}).Render(buf, format == "csv"); err != nil {
+		putBuf(buf)
+		return nil, "", err
+	}
+	return buf, contentType, nil
 }
 
 // jobEnvelope distinguishes journaled job request vocabularies: sweep

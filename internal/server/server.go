@@ -15,9 +15,12 @@
 //	GET  /v1/experiments        list paper artifact IDs
 //	GET  /v1/experiments/{id}   rendered artifact (?format=text|csv|trace)
 //
-// Admission control is a bounded semaphore sized off the sweep worker
-// pool: when every simulation slot is busy the heavy endpoints answer
-// 429 immediately instead of queueing unboundedly. Each admitted
+// A heavy request leaves by one of two doors. An answer given before
+// admission (an L0 hit, a 304, an L2 raw read) closes out through
+// fastLane; anything else claims a slot through admit — a bounded semaphore sized off the
+// sweep worker pool that answers 429 immediately instead of queueing
+// unboundedly — and ends with release. There are five compute paths:
+// run, sweep, experiment, scenario GET and scenario POST. Each admitted
 // request runs under a deadline threaded through every sweep it fans
 // out (/v1/sweep points, /v1/experiments runners), so a dropped client
 // or a drain stops the worker pool instead of simulating into the
@@ -53,9 +56,9 @@ import (
 // Config tunes one Server.
 type Config struct {
 	// MaxInFlight bounds concurrently admitted heavy requests
-	// (run/sweep/experiments). 0 means twice the sweep worker pool:
-	// enough headroom for duplicate specs to coalesce in the
-	// singleflight cells while the pool is busy, without unbounded
+	// (run/sweep/experiments/scenarios). 0 means twice the sweep
+	// worker pool: enough headroom for duplicate specs to coalesce in
+	// the singleflight cells while the pool is busy, without unbounded
 	// queueing.
 	MaxInFlight int
 	// RequestTimeout is the per-request deadline threaded into every
@@ -166,7 +169,7 @@ type Server struct {
 	// reg is the /metrics registry; stageHist the pre-resolved
 	// (endpoint, stage) histogram grid (nil cells are stages that
 	// endpoint never records); pipeHist the per-platform simulator-work
-	// histograms fed by the experiments stage hook.
+	// histograms fed by the platform stage hook.
 	reg       *telemetry.Registry
 	stageHist [nEndpoints][nStages]*telemetry.Histogram
 	pipeHist  map[string]*telemetry.Histogram
@@ -214,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 	// platforms it observes; the last server constructed owns it, and
 	// Close unmounts it. One daemon process runs one server, so the
 	// global is only contended in tests.
-	experiments.SetStageHook(s.pipelineStage)
+	platform.SetStageHook(s.pipelineStage)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -253,7 +256,7 @@ func New(cfg Config) (*Server, error) {
 // The HTTP listener's drain is the caller's http.Server.Shutdown, done
 // before this.
 func (s *Server) Close() {
-	experiments.SetStageHook(nil)
+	platform.SetStageHook(nil)
 	s.jobs.Close()
 }
 
@@ -262,15 +265,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// acquire claims one admission slot, answering 429 (with a
-// load-derived Retry-After) when every slot is busy — shedding load
-// beats queueing it when every slot is a full simulation sweep. On
-// success the caller must release.
-func (s *Server) acquire(w http.ResponseWriter) bool {
+// admit claims one admission slot for a compute path, answering 429
+// (with a load-derived Retry-After) when every slot is busy — shedding
+// load beats queueing it when every slot is a full simulation sweep. On
+// success it records the admission wait and returns the request's
+// deadline context; the caller must defer release(cancel).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, st *stageTimer) (context.Context, context.CancelFunc, bool) {
+	t := time.Now()
 	select {
 	case s.sem <- struct{}{}:
 		s.inFlight.Add(1)
-		return true
 	default:
 		s.rejected.Add(1)
 		// The backoff signal is all the work already queued ahead of a
@@ -282,14 +286,20 @@ func (s *Server) acquire(w http.ResponseWriter) bool {
 		s.setRetryAfter(w, int(s.inFlight.Load())+int(s.jobs.Queued()))
 		writeError(w, http.StatusTooManyRequests, CodeSaturated,
 			"all "+strconv.Itoa(cap(s.sem))+" simulation slots are busy; retry shortly")
-		return false
+		return nil, nil, false
 	}
+	st.observe(stgAdmission, time.Since(t))
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	return ctx, cancel, true
 }
 
-// release returns an admission slot claimed by acquire.
-func (s *Server) release() {
+// release ends an admitted request: it cancels the deadline, frees the
+// slot and counts the response served, whatever its status.
+func (s *Server) release(cancel context.CancelFunc) {
+	cancel()
 	s.inFlight.Add(-1)
 	<-s.sem
+	s.served.Add(1)
 }
 
 // retryAfterSecs derives a Retry-After hint from the amount of work
@@ -431,17 +441,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	bodyKeyed := s.resp != nil && bb != nil && bytes.IndexByte(body, 0) < 0
 	if bodyKeyed {
 		if e, ok := memo.LookupBytes(s.resp, body); ok {
-			// Fast lanes bypass admission entirely, but the histogram
-			// still gets an explicit zero sample — without it the
-			// admission distribution would describe only cold requests.
-			st.observe(stgAdmission, 0)
-			s.finishStages(w, &st)
-			if inm != "" && etagMatches(inm, e.etag) {
-				s.writeNotModifiedEntry(w, e)
-			} else {
-				serveEntry(w, e)
-			}
-			s.served.Add(1)
+			s.serveHit(w, &st, e, inm)
 			return
 		}
 	}
@@ -479,14 +479,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.resp != nil {
 		if e, ok := s.resp.Get(runRespKey(p.Name(), key)); ok {
 			alias(e)
-			st.observe(stgAdmission, 0)
-			s.finishStages(w, &st)
-			if inm != "" && etagMatches(inm, e.etag) {
-				s.writeNotModifiedEntry(w, e)
-			} else {
-				serveEntry(w, e)
-			}
-			s.served.Add(1)
+			s.serveHit(w, &st, e, inm)
 			return
 		}
 	}
@@ -496,11 +489,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// skip both the admission gate and the pipeline. A client can only
 	// hold a matching tag from a prior 200 of this same identity.
 	etag := runETag(p.Name(), key)
-	if inm != "" && etagMatches(inm, etag) {
-		st.observe(stgAdmission, 0)
-		s.finishStages(w, &st)
-		s.writeNotModified(w, etag)
-		s.served.Add(1)
+	if s.conditional(w, &st, inm, etag) {
 		return
 	}
 
@@ -513,25 +502,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		raw, ok := s.cfg.Store.LoadRaw(p.Name(), key)
 		st.observe(stgStoreRead, time.Since(t))
 		if ok {
-			st.observe(stgAdmission, 0)
-			s.finishStages(w, &st)
+			s.fastLane(w, &st)
 			alias(s.cacheAndServe(w, runRespKey(p.Name(), key), etag, ctJSON, raw))
-			s.served.Add(1)
 			return
 		}
 	}
 
-	// Cold: admission gate, deadline, simulate.
-	t := time.Now()
-	if !s.acquire(w) {
+	ctx, cancel, ok := s.admit(w, r, &st)
+	if !ok {
 		return
 	}
-	st.observe(stgAdmission, time.Since(t))
-	defer s.release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
+	defer s.release(cancel)
 	alias(s.runSlow(w, r.WithContext(ctx), p, spec, etag, &st))
-	s.served.Add(1)
 }
 
 // runSlow is /v1/run's compute path: one compile+run under the request
@@ -638,39 +620,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// everything before the serve/compute decision.
 	st.observe(stgDecode, time.Since(st.t0))
 
-	// Fast lane: the ETag pins (pipeline version, platform, ordered
-	// point keys) — the whole response identity — so both the 304 and
-	// the L0 byte hit skip the admission gate and the worker pool.
+	// The ETag pins (pipeline version, platform, ordered point keys) —
+	// the whole response identity — so a revalidation is answered 304
+	// before admission. Bodies stay out of L0: no client repeats a
+	// sweep unconditionally, and the 304 needs no entry.
 	etag := sweepETag(p.Name(), specs)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		st.observe(stgAdmission, 0)
-		s.finishStages(w, &st)
-		s.writeNotModified(w, etag)
-		s.served.Add(1)
+	if s.conditional(w, &st, r.Header.Get("If-None-Match"), etag) {
 		return
 	}
-	ck := "sweep\x00" + etag
-	if s.resp != nil {
-		if e, ok := s.resp.Get(ck); ok {
-			st.observe(stgAdmission, 0)
-			s.finishStages(w, &st)
-			serveEntry(w, e)
-			s.served.Add(1)
-			return
-		}
+
+	ctx, cancel, ok := s.admit(w, r, &st)
+	if !ok {
+		return
 	}
+	defer s.release(cancel)
 
 	t := time.Now()
-	if !s.acquire(w) {
-		return
-	}
-	st.observe(stgAdmission, time.Since(t))
-	defer s.release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	defer s.served.Add(1)
-
-	t = time.Now()
 	outs, err := sweep.Map(ctx, specs,
 		func(_ context.Context, _ int, spec platform.TrainSpec) (RunResult, error) {
 			return runPoint(p, spec)
@@ -694,14 +659,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		res.Label = labels[i]
 		resp.Results[i] = res
 	}
-	body, err := marshalJSON(resp)
+	buf, err := encodeJSON(resp)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	st.observe(stgRender, time.Since(t))
 	s.finishStages(w, &st)
-	s.cacheAndServe(w, ck, etag, ctJSON, body)
+	writeBody(w, etag, ctJSON, buf.Bytes())
+	putBuf(buf)
 }
 
 // runPoint is one sweep point's compile+run — the unit shared by the
@@ -737,9 +703,9 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"experiments": experiments.IDs()})
 }
 
-// handleExperiment manages admission inline (it was the last admit-
-// wrapped handler): validation rejects answer before claiming a slot,
-// and the stage timer needs the acquire duration the wrapper hid.
+// handleExperiment renders one paper artifact. Validation rejects
+// answer before admission; the runner executes under the request's
+// admission slot and deadline.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	st := newStageTimer(epExperiment)
 	id := r.PathValue("id")
@@ -757,17 +723,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	t := time.Now()
-	if !s.acquire(w) {
+	ctx, cancel, ok := s.admit(w, r, &st)
+	if !ok {
 		return
 	}
-	st.observe(stgAdmission, time.Since(t))
-	defer s.release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	defer s.served.Add(1)
+	defer s.release(cancel)
 
-	t = time.Now()
+	t := time.Now()
 	res, err := runner(ctx)
 	st.observe(stgRun, time.Since(t))
 	if err != nil {
@@ -775,43 +737,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The text and CSV bodies go through the same Render path as the
+	// CLI's stdout, byte for byte — CI diffs the two.
 	t = time.Now()
-	switch format {
-	case "trace":
-		buf, err := encodeJSON(res.Trace)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-			return
-		}
-		st.observe(stgRender, time.Since(t))
-		s.finishStages(w, &st)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-		_, _ = w.Write(buf.Bytes())
-		putBuf(buf)
-	case "csv":
-		var buf bytes.Buffer
-		if err := res.Render(&buf, true); err != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-			return
-		}
-		st.observe(stgRender, time.Since(t))
-		s.finishStages(w, &st)
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		_, _ = w.Write(buf.Bytes())
-	default:
-		// The text body goes through the same Render path as the CLI's
-		// stdout, byte for byte — CI diffs the two.
-		var buf bytes.Buffer
-		if err := res.Render(&buf, false); err != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-			return
-		}
-		st.observe(stgRender, time.Since(t))
-		s.finishStages(w, &st)
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write(buf.Bytes())
+	buf, contentType, err := render(res.Tables, format, res.Trace)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return
 	}
+	st.observe(stgRender, time.Since(t))
+	s.finishStages(w, &st)
+	writeBody(w, "", contentType, buf.Bytes())
+	putBuf(buf)
 }
 
 // handleProvenance answers one blob's chain record: where a served

@@ -701,6 +701,60 @@ func TestRequestTimeoutMapsTo504(t *testing.T) {
 	}
 }
 
+// TestServedCountsAdmittedErrors: served counts every response past
+// admission, whatever its status. With a deadline that has passed
+// before any work starts, a scenario POST, a sweep and an experiment
+// each answer 504 after claiming a slot, so served moves by 3.
+func TestServedCountsAdmittedErrors(t *testing.T) {
+	ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
+	var before, after Stats
+	getJSON(t, ts.URL+"/v1/stats", &before)
+
+	doc := `{"version":1,"name":"late","platforms":["wse"],"base":{"model":"gpt2-small"},"grid":{"layers":[2,4]}}`
+	if resp, b := postScenario(t, ts.URL, doc, ""); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("scenario POST = %d, want 504: %s", resp.StatusCode, b)
+	}
+	sweep := `{"platform":"wse","model":"gpt2-small","layer_counts":[2,4]}`
+	if resp, b := postJSON(t, ts.URL+"/v1/sweep", sweep); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("sweep = %d, want 504: %s", resp.StatusCode, b)
+	}
+	if resp := getJSON(t, ts.URL+"/v1/experiments/table1", nil); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("experiment = %d, want 504", resp.StatusCode)
+	}
+
+	getJSON(t, ts.URL+"/v1/stats", &after)
+	if d := after.Served - before.Served; d != 3 {
+		t.Errorf("served delta = %d, want 3 (one per admitted request)", d)
+	}
+	if after.InFlight != 0 {
+		t.Errorf("in_flight = %d after every request answered, want 0", after.InFlight)
+	}
+}
+
+// TestExperimentResponsesAreFramed: every artifact, in every format,
+// answers with a Content-Length equal to its body and no transfer
+// coding, as API.md promises (figure9's 2 KB text body once went out
+// chunked).
+func TestExperimentResponsesAreFramed(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, id := range experiments.IDs() {
+		for _, format := range []string{"text", "csv", "trace"} {
+			resp, err := http.Get(ts.URL + "/v1/experiments/" + id + "?format=" + format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status = %d: %s", id, format, resp.StatusCode, body)
+			}
+			if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+				t.Errorf("%s %s: Content-Length %d and transfer coding %v for a %d-byte body",
+					id, format, resp.ContentLength, resp.TransferEncoding, len(body))
+			}
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	resp := getJSON(t, ts.URL+"/v1/run", nil)

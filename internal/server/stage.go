@@ -19,9 +19,10 @@ import (
 //     admission-wait sample. Without it the admission histogram would
 //     only ever see cold requests, and comparing warm vs cold
 //     latency against it would overstate what admission costs.
-//   - Error responses record nothing: the histograms describe served
-//     outcomes, and folding validation rejects into them would drag
-//     every percentile toward the cost of parsing garbage.
+//   - Error responses record nothing (though one past admission still
+//     counts as served): the histograms describe successful answers,
+//     and folding validation rejects into them would drag every
+//     percentile toward the cost of parsing garbage.
 //
 // Stage semantics per endpoint (total is always first-byte latency —
 // request arrival to response start; the body write is excluded

@@ -148,7 +148,8 @@ func TestSweepConditionalFastLane(t *testing.T) {
 		t.Fatalf("conditional sweep = %d with %d body bytes, want bare 304", resp.StatusCode, len(nm))
 	}
 
-	// Warm unconditional repeat rides L0 and stays byte-identical.
+	// An unconditional repeat recomputes (sweeps keep no L0 entry) and
+	// stays byte-identical.
 	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(body))
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -341,6 +342,45 @@ func TestETagMatches(t *testing.T) {
 	for _, inm := range []string{`"abcd"`, `"ab"`, `abc`, `""`} {
 		if etagMatches(inm, tag) {
 			t.Errorf("etagMatches(%q, %q) = true, want false", inm, tag)
+		}
+	}
+}
+
+// TestIdentityTagsAreStable pins the literal identity ETags: a client
+// holding a tag from an earlier build must still get its 304.
+func TestIdentityTagsAreStable(t *testing.T) {
+	req, err := decodeSweepRequest([]byte(`{"platform":"wse","model":"gpt2-small","layer_counts":[2,4],"batches":[256]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, specs, _, err := req.points(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ephemeral, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ephemeral.Close()
+	ephemeral.start = time.Unix(0, 1700000000123456789)
+	durable, err := New(Config{JobsDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+
+	for _, c := range []struct{ name, got, want string }{
+		{"sweep", sweepETag(p.Name(), specs),
+			`"5961bab624f816179bc17de7df3b2fa795c423bb03b1b29b893e5f73cc025e72"`},
+		{"scenario", scenarioETag("cross-platform-throughput", "text"),
+			`"0cd6b596436718c6713c021e90d7ad3f12766391c719a647ec766ac12d01f285"`},
+		{"ephemeral job result", ephemeral.jobResultETag("job-000007", "csv"),
+			`"05ba609c075fcf8b4cc38b378ff1ee717a2d24420a6c9aa97174e04e884060ce"`},
+		{"durable job result", durable.jobResultETag("job-000007", "csv"),
+			`"401bb9c634086b2efd87cbafe8585e555b870fc64eee4439b574ad458ff967a7"`},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s ETag = %s, want %s", c.name, c.got, c.want)
 		}
 	}
 }
