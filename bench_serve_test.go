@@ -33,10 +33,10 @@ type replayBody struct{ *bytes.Reader }
 
 func (replayBody) Close() error { return nil }
 
-func newRunRequest(b *testing.B, body []byte) (*http.Request, *bytes.Reader) {
+func newPostRequest(b *testing.B, path string, body []byte) (*http.Request, *bytes.Reader) {
 	b.Helper()
 	rd := bytes.NewReader(body)
-	req, err := http.NewRequest(http.MethodPost, "/v1/run", nil)
+	req, err := http.NewRequest(http.MethodPost, path, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func serveOnce(b *testing.B, h http.Handler, req *http.Request, rd *bytes.Reader
 }
 
 // BenchmarkWarmServe measures one warm POST /v1/run four ways, one
-// per rung of the serve ladder:
+// per rung of the serve ladder, and one warm POST /v1/sweep:
 //
 //	run-warm      the response-byte fast lane (L0 hit by body bytes,
 //	              zero JSON work)
@@ -68,15 +68,17 @@ func serveOnce(b *testing.B, h http.Handler, req *http.Request, rd *bytes.Reader
 //	              bytes, then decode, resolve and an L0 hit by spec key
 //	run-slowpath  the byte cache disabled — the pre-PR warm path:
 //	              decode, resolve, memoized compile, run, marshal
+//	sweep-memo    a 2-point sweep whose compiles hit the memo: decode,
+//	              grid resolution, ETag, admission, two runs, marshal
 //
 // run-warm vs run-slowpath is the tentpole's speedup; the allocs/op of
 // run-warm is the zero-copy claim, enforced by CI's bench smoke.
 // run-canonical vs run-slowpath is what the canonical-key rung is
 // worth over recomputing from the compile memo.
 func BenchmarkWarmServe(b *testing.B) {
-	body := []byte(`{"platform":"wse","model":"gpt2-small"}`)
+	runBody := []byte(`{"platform":"wse","model":"gpt2-small"}`)
 
-	bench := func(b *testing.B, cfg server.Config, inm string, wantStatus int, respell bool) {
+	bench := func(b *testing.B, path string, body []byte, cfg server.Config, inm string, wantStatus int, respell bool) {
 		b.Helper()
 		experiments.ResetCaches()
 		srv, err := server.New(cfg)
@@ -84,7 +86,7 @@ func BenchmarkWarmServe(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer srv.Close()
-		req, rd := newRunRequest(b, body)
+		req, rd := newPostRequest(b, path, body)
 		// Prime every tier (memo cells, byte cache, the ETag).
 		w := serveOnce(b, srv, req, rd, http.StatusOK)
 		if inm != "" {
@@ -127,15 +129,19 @@ func BenchmarkWarmServe(b *testing.B) {
 	}
 
 	b.Run("run-warm", func(b *testing.B) {
-		bench(b, server.Config{}, "", http.StatusOK, false)
+		bench(b, "/v1/run", runBody, server.Config{}, "", http.StatusOK, false)
 	})
 	b.Run("run-304", func(b *testing.B) {
-		bench(b, server.Config{}, "etag", http.StatusNotModified, false)
+		bench(b, "/v1/run", runBody, server.Config{}, "etag", http.StatusNotModified, false)
 	})
 	b.Run("run-canonical", func(b *testing.B) {
-		bench(b, server.Config{}, "", http.StatusOK, true)
+		bench(b, "/v1/run", runBody, server.Config{}, "", http.StatusOK, true)
 	})
 	b.Run("run-slowpath", func(b *testing.B) {
-		bench(b, server.Config{RespCacheBudget: -1}, "", http.StatusOK, false)
+		bench(b, "/v1/run", runBody, server.Config{RespCacheBudget: -1}, "", http.StatusOK, false)
+	})
+	b.Run("sweep-memo", func(b *testing.B) {
+		sweep := []byte(`{"platform":"wse","model":"gpt2-small","batches":[256,512]}`)
+		bench(b, "/v1/sweep", sweep, server.Config{}, "", http.StatusOK, false)
 	})
 }

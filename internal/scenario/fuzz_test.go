@@ -32,7 +32,7 @@ func FuzzScenarioParse(f *testing.F) {
 			t.Fatalf("Parse accepted a document that does not compile: %v", err)
 		}
 		for _, i := range []int{0, a.gridN - 1} {
-			if err := a.spec(i).Validate(); err != nil {
+			if err := a.pts.Spec(i).Validate(); err != nil {
 				t.Errorf("grid point %d of an accepted document is invalid: %v", i, err)
 			}
 		}

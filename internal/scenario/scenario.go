@@ -46,7 +46,6 @@ import (
 
 	"dabench/internal/experiments"
 	"dabench/internal/platform"
-	"dabench/internal/precision"
 	"dabench/internal/report"
 	"dabench/internal/sweep"
 )
@@ -105,18 +104,6 @@ type Base struct {
 	// Mode is the RDU build-optimization level ("O0", "O1", "O3");
 	// platforms without compile modes ignore it.
 	Mode string `json:"mode,omitempty"`
-}
-
-// Grid is the swept cross product. Point order is deterministic:
-// layers-major, then batches, precisions, tensor-parallel degrees and
-// modes — the order every results array and table follows.
-type Grid struct {
-	Layers         []int    `json:"layers,omitempty"`
-	Batches        []int    `json:"batches,omitempty"`
-	Precisions     []string `json:"precisions,omitempty"`
-	TensorParallel []int    `json:"tensor_parallel,omitempty"`
-	// Modes sweeps the RDU build-optimization levels.
-	Modes []string `json:"modes,omitempty"`
 }
 
 // Outcome is one executed scenario: the wire form served by
@@ -190,20 +177,12 @@ func (sc *Scenario) Points() (int, error) {
 }
 
 // axes is a validated, resolved scenario: platforms bound to the
-// process-wide cached simulators and every grid axis normalized to at
-// least one value.
+// process-wide cached simulators and the grid resolved against the
+// base.
 type axes struct {
-	plats   []platform.CachedPlatform
-	names   []string // display names, index-aligned with plats
-	base    platform.TrainSpec
-	layers  []int
-	batches []int
-	formats []precision.Format
-	tps     []int
-	modes   []platform.CompileMode
-	// labeled marks which axes were named in the document and so
-	// appear in point labels.
-	labeled  [5]bool
+	plats    []platform.CachedPlatform
+	names    []string // display names, index-aligned with plats
+	pts      *Points
 	gridN    int
 	compare  []string
 	baseline int // index into plats
@@ -254,86 +233,14 @@ func (sc *Scenario) compile() (*axes, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: base: %w", err)
 	}
-	a.base = base
-
-	// The grid axes: a named axis sweeps and labels; an omitted one
-	// holds the base value.
-	g := sc.Grid
-	a.labeled = [5]bool{len(g.Layers) > 0, len(g.Batches) > 0, len(g.Precisions) > 0,
-		len(g.TensorParallel) > 0, len(g.Modes) > 0}
-	a.layers = g.Layers
-	if len(a.layers) == 0 {
-		a.layers = []int{a.base.Model.NumLayers}
+	a.pts, err = sc.Grid.Resolve(base)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	a.batches = g.Batches
-	if len(a.batches) == 0 {
-		a.batches = []int{a.base.Batch}
+	if a.pts.Size() > maxGridPoints {
+		return nil, fmt.Errorf("scenario: grid exceeds %d points", maxGridPoints)
 	}
-	for _, l := range a.layers {
-		if l <= 0 {
-			return nil, fmt.Errorf("scenario: grid axes must be positive (layer %d)", l)
-		}
-	}
-	for _, b := range a.batches {
-		if b <= 0 {
-			return nil, fmt.Errorf("scenario: grid axes must be positive (batch %d)", b)
-		}
-	}
-	if len(g.Precisions) == 0 {
-		a.formats = []precision.Format{a.base.Precision}
-	} else {
-		for _, s := range g.Precisions {
-			f, err := precision.Parse(s)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: grid: %w", err)
-			}
-			a.formats = append(a.formats, f)
-		}
-	}
-	a.tps = g.TensorParallel
-	if len(a.tps) == 0 {
-		a.tps = []int{a.base.Par.TensorParallel}
-	}
-	for _, tp := range a.tps {
-		// 0 is legal here: it means "no tensor parallelism", matching
-		// TrainSpec's own >= 0 rule.
-		if tp < 0 || tp > platform.MaxParallelism {
-			return nil, fmt.Errorf("scenario: tensor_parallel must be in [0, %d] (got %d)", platform.MaxParallelism, tp)
-		}
-	}
-	if len(g.Modes) == 0 {
-		a.modes = []platform.CompileMode{a.base.Par.Mode}
-	} else {
-		for _, s := range g.Modes {
-			m, err := platform.ParseMode(s)
-			if err != nil {
-				return nil, err
-			}
-			a.modes = append(a.modes, m)
-		}
-	}
-	n := 1
-	for _, axis := range []int{len(a.layers), len(a.batches), len(a.formats), len(a.tps), len(a.modes)} {
-		if n > maxGridPoints/axis {
-			return nil, fmt.Errorf("scenario: grid exceeds %d points", maxGridPoints)
-		}
-		n *= axis
-	}
-	a.gridN = n
-
-	// Every grid point must be a valid TrainSpec *now*: a bad document
-	// has to fail at parse/submission, not deep inside an executor as
-	// an internal error. The batch and tensor_parallel axes already
-	// check the bounds Validate applies to them, and precisions and
-	// modes feed no Validate rule, so probing one spec per layer value
-	// covers the whole product without expanding it.
-	for _, l := range a.layers {
-		probe := a.base
-		probe.Model = probe.Model.WithLayers(l)
-		if err := probe.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-	}
+	a.gridN = int(a.pts.Size())
 
 	// Comparisons.
 	if len(sc.Compare) == 0 {
@@ -360,48 +267,6 @@ func (sc *Scenario) compile() (*axes, error) {
 	return a, nil
 }
 
-// spec derives grid point i's TrainSpec: layers-major, then batches,
-// precisions, TP degrees, modes.
-func (a *axes) spec(i int) platform.TrainSpec {
-	nm := len(a.modes)
-	nt := len(a.tps) * nm
-	nf := len(a.formats) * nt
-	nb := len(a.batches) * nf
-	spec := a.base
-	spec.Model = spec.Model.WithLayers(a.layers[i/nb])
-	spec.Batch = a.batches[(i/nf)%len(a.batches)]
-	spec.Precision = a.formats[(i/nt)%len(a.formats)]
-	spec.Par.TensorParallel = a.tps[(i/nm)%len(a.tps)]
-	spec.Par.Mode = a.modes[i%nm]
-	return spec
-}
-
-// label names grid point i from the axes the document swept; a
-// scenario with no grid has the single label "base".
-func (a *axes) label(i int) string {
-	spec := a.spec(i)
-	var parts []string
-	if a.labeled[0] {
-		parts = append(parts, fmt.Sprintf("L=%d", spec.Model.NumLayers))
-	}
-	if a.labeled[1] {
-		parts = append(parts, fmt.Sprintf("B=%d", spec.Batch))
-	}
-	if a.labeled[2] {
-		parts = append(parts, spec.Precision.String())
-	}
-	if a.labeled[3] {
-		parts = append(parts, fmt.Sprintf("TP%d", spec.Par.TensorParallel))
-	}
-	if a.labeled[4] {
-		parts = append(parts, spec.Par.Mode.String())
-	}
-	if len(parts) == 0 {
-		return "base"
-	}
-	return strings.Join(parts, "/")
-}
-
 // pointOut is one (platform, grid point) outcome.
 type pointOut struct {
 	failed bool
@@ -411,10 +276,6 @@ type pointOut struct {
 	tflops float64
 	eff    float64
 }
-
-// runChunk is how many platform×grid points one progress beat covers
-// (mirrors the async job executor's chunking).
-const runChunk = 256
 
 // Run executes the scenario on the process-wide cached platform set
 // and assembles its comparison tables. Placement failures are
@@ -433,12 +294,12 @@ func Run(ctx context.Context, sc *Scenario, opts RunOptions) (*Outcome, error) {
 
 	results := make([]pointOut, 0, total)
 	failed := 0
-	for lo := 0; lo < total; lo += runChunk {
-		hi := min(lo+runChunk, total)
+	for lo := 0; lo < total; lo += ChunkSize {
+		hi := min(lo+ChunkSize, total)
 		outs, err := sweep.MapN(ctx, hi-lo, func(_ context.Context, i int) (pointOut, error) {
 			idx := lo + i
 			p := a.plats[idx/a.gridN]
-			spec := a.spec(idx % a.gridN)
+			spec := a.pts.Spec(idx % a.gridN)
 			cr, err := p.Compile(spec)
 			if err != nil {
 				return pointOut{}, err // placement failures tolerated by MapN's default predicate
@@ -506,10 +367,10 @@ func (a *axes) resultsTable(name string, results []pointOut) *report.Table {
 		for pt := 0; pt < a.gridN; pt++ {
 			r := at(results, a.gridN, pi, pt)
 			if r.failed {
-				tbl.Add(pname, a.label(pt), "Fail", "-", "-", "-", "-")
+				tbl.Add(pname, a.pts.Label(pt), "Fail", "-", "-", "-", "-")
 				continue
 			}
-			tbl.Add(pname, a.label(pt), "ok", report.F(r.step), report.F(r.tps),
+			tbl.Add(pname, a.pts.Label(pt), "ok", report.F(r.step), report.F(r.tps),
 				report.F(r.tflops), report.F(100*r.eff))
 		}
 	}
@@ -525,7 +386,7 @@ func (a *axes) failuresTable(name string, results []pointOut) *report.Table {
 	for pi, pname := range a.names {
 		for pt := 0; pt < a.gridN; pt++ {
 			if r := at(results, a.gridN, pi, pt); r.failed {
-				tbl.Add(pname, a.label(pt), r.reason)
+				tbl.Add(pname, a.pts.Label(pt), r.reason)
 			}
 		}
 	}
@@ -541,7 +402,7 @@ func (a *axes) speedupTable(name string, results []pointOut) *report.Table {
 	for pt := 0; pt < a.gridN; pt++ {
 		base := at(results, a.gridN, a.baseline, pt)
 		row := make([]string, 0, len(a.names)+1)
-		row = append(row, a.label(pt))
+		row = append(row, a.pts.Label(pt))
 		for pi := range a.names {
 			r := at(results, a.gridN, pi, pt)
 			if r.failed || base.failed || base.tps <= 0 {
@@ -576,7 +437,7 @@ func (a *axes) winnersTable(name string, results []pointOut) *report.Table {
 			}
 		}
 		if best == -1 {
-			tbl.Add(a.label(pt), "-", "-", "-")
+			tbl.Add(a.pts.Label(pt), "-", "-", "-")
 			continue
 		}
 		margin := "-"
@@ -586,7 +447,7 @@ func (a *axes) winnersTable(name string, results []pointOut) *report.Table {
 				margin = report.F(bestTPS / secondTPS)
 			}
 		}
-		tbl.Add(a.label(pt), a.names[best], report.F(bestTPS), margin)
+		tbl.Add(a.pts.Label(pt), a.names[best], report.F(bestTPS), margin)
 	}
 	return tbl
 }
@@ -639,7 +500,7 @@ func (a *axes) paretoTable(name string, results []pointOut) *report.Table {
 		for k := i; k < j; k++ {
 			r := at(results, a.gridN, ok[k].pi, ok[k].pt)
 			if r.eff == groupMaxEff && (!seenEff || r.eff > maxEffAbove) {
-				tbl.Add(a.names[ok[k].pi], a.label(ok[k].pt), report.F(r.tps), report.F(100*r.eff))
+				tbl.Add(a.names[ok[k].pi], a.pts.Label(ok[k].pt), report.F(r.tps), report.F(100*r.eff))
 			}
 		}
 		if !seenEff || groupMaxEff > maxEffAbove {

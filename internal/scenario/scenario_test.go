@@ -129,7 +129,7 @@ func TestPointsAndLabels(t *testing.T) {
 		"L=6/B=128/FP16", "L=6/B=256/FP16", "L=12/B=128/FP16", "L=12/B=256/FP16",
 	}
 	for i, want := range wantLabels {
-		if got := a.label(i); got != want {
+		if got := a.pts.Label(i); got != want {
 			t.Errorf("label(%d) = %q, want %q", i, got, want)
 		}
 	}
@@ -141,8 +141,8 @@ func TestPointsAndLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa.gridN != 1 || fa.label(0) != "base" {
-		t.Errorf("flat scenario = %d points, label %q", fa.gridN, fa.label(0))
+	if fa.gridN != 1 || fa.pts.Label(0) != "base" {
+		t.Errorf("flat scenario = %d points, label %q", fa.gridN, fa.pts.Label(0))
 	}
 }
 
@@ -279,7 +279,7 @@ func TestParetoFrontierMatchesQuadraticReference(t *testing.T) {
 	want := report.New(got.Title, got.Headers...)
 	for _, c := range frontier {
 		r := at(results, a.gridN, c.pi, c.pt)
-		want.Add(a.names[c.pi], a.label(c.pt), report.F(r.tps), report.F(100*r.eff))
+		want.Add(a.names[c.pi], a.pts.Label(c.pt), report.F(r.tps), report.F(100*r.eff))
 	}
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Errorf("frontier diverged from the quadratic reference:\ngot  %v\nwant %v", got.Rows, want.Rows)

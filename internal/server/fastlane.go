@@ -7,7 +7,7 @@ import (
 	"strconv"
 	"strings"
 
-	"dabench/internal/platform"
+	"dabench/internal/scenario"
 	"dabench/internal/store"
 )
 
@@ -18,9 +18,8 @@ import (
 //	           one allocation-free map lookup, no decode at all; the
 //	           entry's ETag answers a conditional hit with 304.
 //	L0 bytes   the in-process response-byte LRU (s.resp) under the
-//	           canonical key: (platform, spec) for /v1/run, (name,
-//	           format) for a scenario GET — one map lookup, the cached
-//	           bytes go straight to the socket.
+//	           canonical (platform, spec) key (/v1/run) — one map
+//	           lookup, the cached bytes go straight to the socket.
 //	ETag/304   If-None-Match matches the request's strong ETag — no
 //	           body at all (/v1/run, /v1/sweep, scenario GETs).
 //	L2 raw     the framed blob's response section (store.LoadRaw,
@@ -28,11 +27,12 @@ import (
 //	           way out.
 //
 // Every answer on these rungs goes through fastLane; only a miss on all
-// of them claims an admission slot (admit) and computes. /v1/sweep
-// keeps no L0 entries: no client repeats a sweep unconditionally, and
-// its 304 needs none. Every ETag below is derived from the request's
-// identity (pipeline version ⊕ inputs), never from response bytes,
-// which is what lets a 304 be answered without computing anything.
+// of them claims an admission slot (admit) and computes. /v1/sweep and
+// scenario GETs keep no L0 entries: nothing measured repeats either
+// unconditionally, and their 304 needs none. Every ETag below is
+// derived from the request's identity (pipeline version ⊕ inputs),
+// never from response bytes, which is what lets a 304 be answered
+// without computing anything.
 
 const ctJSON = "application/json"
 
@@ -100,10 +100,10 @@ func identityTag(parts ...string) string {
 // pipeline version, platform and every point's spec key in order. The
 // point labels derive from the specs, so the key set pins the whole
 // body.
-func sweepETag(platformName string, specs []platform.TrainSpec) string {
+func sweepETag(platformName string, pts *scenario.Points) string {
 	parts := []string{"dabench/sweep/v" + strconv.Itoa(store.PipelineVersion), platformName}
-	for _, sp := range specs {
-		parts = append(parts, sp.Key())
+	for i := range int(pts.Size()) {
+		parts = append(parts, pts.Spec(i).Key())
 	}
 	return identityTag(parts...)
 }
@@ -113,11 +113,6 @@ func sweepETag(platformName string, specs []platform.TrainSpec) string {
 // deterministic, so (pipeline version, name, format) pins the bytes.
 func scenarioETag(name, format string) string {
 	return identityTag("dabench/scenario/v"+strconv.Itoa(store.PipelineVersion), name, format)
-}
-
-// scenarioRespKey is the L0 cache key of one scenario GET rendering.
-func scenarioRespKey(name, format string) string {
-	return "scn\x00" + name + "\x00" + format
 }
 
 // jobResultETag is the strong ETag of one finished job's rendered
@@ -228,7 +223,7 @@ func (s *Server) cacheAndServe(w http.ResponseWriter, cacheKey, etag, contentTyp
 }
 
 // writeBody writes a 200 body that L0 does not keep (sweeps, experiment
-// renders, scenario POSTs, job results) with an explicit
+// renders, scenarios, job results, /metrics) with an explicit
 // Content-Length, so it is never chunked, and its ETag when it has one.
 func writeBody(w http.ResponseWriter, etag, contentType string, body []byte) {
 	h := w.Header()

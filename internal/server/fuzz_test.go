@@ -78,12 +78,11 @@ func FuzzRunRequest(f *testing.F) {
 	})
 }
 
-// FuzzSweepRequest drives the body decode and cross-product expansion
-// that /v1/sweep and /v1/jobs share with arbitrary bodies. The strict
-// decode and points must never panic. An accepted sweep has 1 to
-// budget points with one label each, every point is a valid spec, and
-// axes counts exactly as many points; an over-budget rejection names
-// more points than the budget.
+// FuzzSweepRequest drives the body decode and the grid resolution that
+// /v1/sweep and /v1/jobs share with arbitrary bodies. The strict decode
+// and syncGrid must never panic. An accepted sweep has 1 to budget
+// points, and every point is a valid spec with a label; an over-budget
+// rejection names more points than the budget.
 //
 //	go test -run '^$' -fuzz FuzzSweepRequest -fuzztime 20s ./internal/server
 func FuzzSweepRequest(f *testing.F) {
@@ -112,7 +111,7 @@ func FuzzSweepRequest(f *testing.F) {
 		if req.Budget > 0 && req.Budget < budget {
 			budget = req.Budget
 		}
-		_, specs, labels, err := req.points(budget)
+		_, pts, err := req.syncGrid(maxPoints)
 		if err != nil {
 			var be *BudgetError
 			if errors.As(err, &be) && (be.Budget != budget || be.Points <= int64(budget)) {
@@ -120,23 +119,17 @@ func FuzzSweepRequest(f *testing.F) {
 			}
 			return
 		}
-		if n := len(specs); n < 1 || n > budget || len(labels) != n {
-			t.Fatalf("accepted %d points with %d labels (budget %d)", n, len(labels), budget)
+		n := pts.Size()
+		if n < 1 || n > int64(budget) {
+			t.Fatalf("accepted %d points (budget %d)", n, budget)
 		}
-		for i, spec := range specs {
-			if err := spec.Validate(); err != nil {
-				t.Fatalf("point %d (%s) fails Validate: %v", i, labels[i], err)
+		for i := range int(n) {
+			if err := pts.Spec(i).Validate(); err != nil {
+				t.Fatalf("point %d (%s) fails Validate: %v", i, pts.Label(i), err)
 			}
-			if labels[i] == "" {
+			if pts.Label(i) == "" {
 				t.Fatalf("point %d has no label", i)
 			}
-		}
-		a, err := req.axes()
-		if err != nil {
-			t.Fatalf("axes rejects what points accepted: %v", err)
-		}
-		if a.product() != int64(len(specs)) {
-			t.Fatalf("axes counts %d points, points expanded %d", a.product(), len(specs))
 		}
 	})
 }

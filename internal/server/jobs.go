@@ -10,18 +10,11 @@ import (
 	"net/http"
 	"strconv"
 
-	"dabench/internal/faults"
 	"dabench/internal/jobs"
-	"dabench/internal/platform"
 	"dabench/internal/report"
 	"dabench/internal/scenario"
 	"dabench/internal/sweep"
 )
-
-// jobChunk is how many points one journal/progress beat covers: large
-// enough to amortize the bookkeeping, small enough that progress and
-// cancellation stay responsive.
-const jobChunk = 256
 
 // jobWorkers is the pool width a job's points fan out on: half the
 // process sweep pool, at least one. The other half stays with
@@ -30,23 +23,6 @@ const jobChunk = 256
 // (DESIGN.md, "The async job subsystem").
 func jobWorkers() int {
 	return max(1, sweep.DefaultWorkers()/2)
-}
-
-// runChunk executes one job chunk [lo, hi). Placement failures are
-// tolerated as failed points; any other error fails the chunk, and
-// with it the job: the simulators are pure functions of the spec, so
-// a rerun would fail the same way.
-func (s *Server) runChunk(ctx context.Context, a *sweepAxes, lo, hi int) ([]sweep.Outcome[RunResult], error) {
-	if err := s.cfg.Injector.Fire(ctx, faults.OpChunkRun); err != nil {
-		return nil, err
-	}
-	return sweep.MapN(ctx, hi-lo, func(_ context.Context, i int) (RunResult, error) {
-		spec, _, err := a.point(lo + i)
-		if err != nil {
-			return RunResult{}, err
-		}
-		return runPoint(a.p, spec)
-	}, sweep.Workers(jobWorkers()), sweep.Tolerating(platform.IsCompileFailure))
 }
 
 // handleJobSubmit accepts a SweepRequest of (nearly) any size for
@@ -64,12 +40,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	a, err := req.axes()
+	_, pts, err := req.grid()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	n := a.product()
+	n := pts.Size()
 	if n > int64(s.cfg.MaxJobPoints) {
 		s.writeJobCapExceeded(w, "job", n)
 		return
@@ -244,13 +220,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob is the jobs.RunFunc: execute one journaled SweepRequest on
-// the background pool, chunk by chunk. Each chunk re-derives its specs
-// from the axes (the full product is never materialized), fans out on
-// sweep.MapN at jobWorkers' width, and reports cumulative progress.
-// Every chunk runs on this node, fleet or not: the manager runs one job
-// at a time, so a chunk shipped to a peer would only add a round trip
-// to it. The assembled result is encoded exactly as the synchronous
-// sweep handler encodes its response.
+// the background pool through sweepDocument, chunk by chunk at
+// jobWorkers' width, reporting cumulative progress. Every chunk runs on
+// this node, fleet or not: the manager runs one job at a time, so a
+// chunk shipped to a peer would only add a round trip to it.
 func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(done, failed int)) (json.RawMessage, error) {
 	// Scenario jobs are journaled inside a kind-marked envelope; bare
 	// bodies are the original sweep vocabulary. A sweep request can
@@ -265,42 +238,20 @@ func (s *Server) runJob(ctx context.Context, raw json.RawMessage, progress func(
 	if err != nil {
 		return nil, err
 	}
-	a, err := req.axes()
+	p, pts, err := req.grid()
 	if err != nil {
 		return nil, err
 	}
-	n := int(a.product())
-	if n > s.cfg.MaxJobPoints {
+	if n := pts.Size(); n > int64(s.cfg.MaxJobPoints) {
 		// Replayed from a journal written under a larger cap.
 		return nil, fmt.Errorf("job of %d points exceeds the job cap of %d", n, s.cfg.MaxJobPoints)
 	}
-
-	resp := SweepResponse{Platform: a.p.Name(), Points: n}
-	resp.Results = make([]RunResult, 0, n)
-	for lo := 0; lo < n; lo += jobChunk {
-		hi := min(lo+jobChunk, n)
-		outs, err := s.runChunk(ctx, a, lo, hi)
-		if err != nil {
-			// The manager turns cancellation and shutdown into
-			// cancelled/revived; any other error fails the job with its
-			// message, as the same request fails a synchronous sweep.
-			return nil, err
-		}
-		for i, o := range outs {
-			spec, label, _ := a.point(lo + i)
-			res := o.Value
-			if o.Failed() {
-				res = result(a.p, spec, nil, nil)
-				res.Failed, res.FailReason = true, o.Err.Error()
-				resp.Failed++
-			}
-			res.Label = label
-			resp.Results = append(resp.Results, res)
-		}
-		progress(hi, resp.Failed)
+	// The manager turns cancellation and shutdown into
+	// cancelled/revived; any other error fails the job with its
+	// message, as the same request fails a synchronous sweep.
+	resp, err := s.sweepDocument(ctx, p, pts, jobWorkers(), progress)
+	if err != nil {
+		return nil, err
 	}
-
-	// The stored bytes equal a synchronous response body for the same
-	// points.
 	return marshalJSON(resp)
 }

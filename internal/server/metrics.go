@@ -200,6 +200,8 @@ func (s *Server) collect(e *telemetry.Exposition) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
+	buf := getBuf()
+	_ = s.reg.WritePrometheus(buf) // a bytes.Buffer write cannot fail
+	writeBody(w, "", "text/plain; version=0.0.4; charset=utf-8", buf.Bytes())
+	putBuf(buf)
 }

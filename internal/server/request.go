@@ -12,9 +12,8 @@ import (
 	"sync"
 
 	"dabench/internal/experiments"
-	"dabench/internal/model"
 	"dabench/internal/platform"
-	"dabench/internal/precision"
+	"dabench/internal/scenario"
 )
 
 // maxBodyBytes bounds request bodies; specs are tiny and anything
@@ -307,107 +306,49 @@ func (req RunRequest) resolve() (platform.CachedPlatform, platform.TrainSpec, er
 	return p, spec, nil
 }
 
-// sweepAxes is a validated sweep cross product in unexpanded form:
-// the i-th point is derived on demand, so arbitrarily large products
-// (async jobs walk them chunk by chunk) never materialize whole.
-type sweepAxes struct {
-	p       platform.CachedPlatform
-	base    platform.TrainSpec
-	layers  []int
-	batches []int
-	formats []precision.Format
-}
-
-// axes validates the request and its axis values without expanding the
-// cross product. All errors are client errors.
-func (req SweepRequest) axes() (*sweepAxes, error) {
+// grid resolves the request into its platform and its points through
+// the one grid resolver, each omitted axis filled from the base, so
+// every label reads L=<layers>/B=<batch>/<precision>. The cross
+// product is never expanded. All errors are client errors.
+func (req SweepRequest) grid() (platform.CachedPlatform, *scenario.Points, error) {
 	p, base, err := req.RunRequest.resolve()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a := &sweepAxes{p: p, base: base, layers: req.LayerCounts, batches: req.Batches}
-	if len(a.layers) == 0 {
-		a.layers = []int{base.Model.NumLayers}
+	g := scenario.Grid{Layers: req.LayerCounts, Batches: req.Batches, Precisions: req.Precisions}
+	if len(g.Layers) == 0 {
+		g.Layers = []int{base.Model.NumLayers}
 	}
-	if len(a.batches) == 0 {
-		a.batches = []int{base.Batch}
+	if len(g.Batches) == 0 {
+		g.Batches = []int{base.Batch}
 	}
-	for _, l := range a.layers {
-		if l <= 0 {
-			return nil, fmt.Errorf("sweep axes must be positive (layer %d)", l)
-		}
-		if l > model.MaxLayers {
-			return nil, fmt.Errorf("layer count %d exceeds the maximum of %d", l, model.MaxLayers)
-		}
+	if len(g.Precisions) == 0 {
+		g.Precisions = []string{base.Precision.String()}
 	}
-	for _, b := range a.batches {
-		if b <= 0 {
-			return nil, fmt.Errorf("sweep axes must be positive (batch %d)", b)
-		}
-	}
-	if len(req.Precisions) == 0 {
-		a.formats = []precision.Format{base.Precision}
-	} else {
-		a.formats = make([]precision.Format, 0, len(req.Precisions))
-		for _, s := range req.Precisions {
-			f, err := precision.Parse(s)
-			if err != nil {
-				return nil, err
-			}
-			a.formats = append(a.formats, f)
-		}
-	}
-	return a, nil
-}
-
-// product is the cross-product size. Axis lengths are bounded by the
-// body cap (~1e5 each), so the 3-way product cannot overflow int64.
-func (a *sweepAxes) product() int64 {
-	return int64(len(a.layers)) * int64(len(a.batches)) * int64(len(a.formats))
-}
-
-// point derives the i-th spec and label in deterministic layer-major →
-// batch → precision order (the order every results array follows).
-func (a *sweepAxes) point(i int) (platform.TrainSpec, string, error) {
-	nf, nb := len(a.formats), len(a.batches)
-	l := a.layers[i/(nb*nf)]
-	b := a.batches[(i/nf)%nb]
-	f := a.formats[i%nf]
-	spec := a.base
-	spec.Model = spec.Model.WithLayers(l)
-	spec.Batch = b
-	spec.Precision = f
-	if err := spec.Validate(); err != nil {
-		return spec, "", err
-	}
-	return spec, fmt.Sprintf("L=%d/B=%d/%s", l, b, f), nil
-}
-
-// points expands the sweep into specs and labels after checking the
-// product against budget arithmetically — one request with three
-// large axes must fail cheaply, not materialize the product and take
-// the process down with it. Over-budget requests return a *BudgetError
-// so the handler can answer with the structured rejection.
-func (req SweepRequest) points(budget int) (platform.CachedPlatform, []platform.TrainSpec, []string, error) {
-	a, err := req.axes()
+	pts, err := g.Resolve(base)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	n := a.product()
-	if n > int64(budget) {
-		return nil, nil, nil, &BudgetError{Points: n, Budget: budget}
+	return p, pts, nil
+}
+
+// syncGrid is grid for a synchronous sweep: the resolved size is then
+// checked against budget, or the request's own budget when that is
+// lower. The check comes after resolution, so a malformed request is a
+// client error before an over-budget one is a *BudgetError, and it is
+// arithmetic, so three large axes fail cheaply.
+func (req SweepRequest) syncGrid(budget int) (platform.CachedPlatform, *scenario.Points, error) {
+	p, pts, err := req.grid()
+	if err != nil {
+		return nil, nil, err
 	}
-	specs := make([]platform.TrainSpec, 0, n)
-	labels := make([]string, 0, n)
-	for i := 0; i < int(n); i++ {
-		spec, label, err := a.point(i)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		specs = append(specs, spec)
-		labels = append(labels, label)
+	if req.Budget > 0 && req.Budget < budget {
+		budget = req.Budget
 	}
-	return a.p, specs, labels, nil
+	if n := pts.Size(); n > int64(budget) {
+		return nil, nil, &BudgetError{Points: n, Budget: budget}
+	}
+	return p, pts, nil
 }
 
 // result assembles the wire form of one compile+run outcome.

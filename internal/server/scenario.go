@@ -70,10 +70,12 @@ func scenarioFormat(w http.ResponseWriter, r *http.Request, dflt string) (string
 
 // handleScenarioGet runs one built-in library scenario synchronously.
 // The library is immutable within a build and the engine deterministic,
-// so (name, format) pins the rendered bytes: a repeat request is
-// answered from the ETag/304 or response-byte fast lane before the
-// admission gate; only the compute path claims a slot and shares the
-// in-flight budget and request deadline with the other heavy endpoints.
+// so (name, format) pins the rendered bytes: a revalidation is answered
+// 304 from that identity tag before the admission gate. Bodies stay out
+// of L0, as a sweep's do: nothing measured repeats a scenario GET
+// unconditionally, and the 304 needs no entry. The compute path claims
+// a slot and shares the in-flight budget and request deadline with the
+// other heavy endpoints.
 func (s *Server) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
 	st := newStageTimer(epScenarioGet)
 	name := r.PathValue("name")
@@ -86,17 +88,9 @@ func (s *Server) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	inm := r.Header.Get("If-None-Match")
 	etag := scenarioETag(name, format)
-	if s.conditional(w, &st, inm, etag) {
+	if s.conditional(w, &st, r.Header.Get("If-None-Match"), etag) {
 		return
-	}
-	ck := scenarioRespKey(name, format)
-	if s.resp != nil {
-		if e, ok := s.resp.Get(ck); ok {
-			s.serveHit(w, &st, e, inm)
-			return
-		}
 	}
 
 	ctx, cancel, ok := s.admit(w, r, &st)
@@ -119,7 +113,7 @@ func (s *Server) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st.observe(stgRender, time.Since(t))
 	s.finishStages(w, &st)
-	s.cacheAndServe(w, ck, etag, contentType, bytes.Clone(buf.Bytes()))
+	writeBody(w, etag, contentType, buf.Bytes())
 	putBuf(buf)
 }
 

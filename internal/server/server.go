@@ -6,14 +6,26 @@
 // they arrive concurrently or hours apart, and a warm experiment
 // re-render costs cache lookups, not simulation.
 //
-// Endpoints:
+// Endpoints (API.md has the full contract):
 //
-//	GET  /healthz               liveness
-//	GET  /v1/stats              per-tier cache counters + serving counters
-//	POST /v1/run                one compile+run of a TrainSpec-shaped request
-//	POST /v1/sweep              batch sweep (layer × batch × precision cross product)
-//	GET  /v1/experiments        list paper artifact IDs
-//	GET  /v1/experiments/{id}   rendered artifact (?format=text|csv|trace)
+//	GET    /healthz               liveness plus per-component health
+//	GET    /metrics               Prometheus exposition
+//	GET    /v1/stats              per-tier cache counters + serving counters
+//	POST   /v1/run                one compile+run of a TrainSpec-shaped request
+//	POST   /v1/sweep              batch sweep (layer × batch × precision cross product)
+//	GET    /v1/experiments        list paper artifact IDs
+//	GET    /v1/experiments/{id}   rendered artifact (?format=text|csv|trace)
+//	GET    /v1/scenarios          list the built-in scenario library
+//	GET    /v1/scenarios/{name}   run one library scenario
+//	POST   /v1/scenarios          run a posted scenario (an async job over the sweep budget)
+//	POST   /v1/jobs               submit a sweep of any size as an async job
+//	GET    /v1/jobs               list jobs
+//	GET    /v1/jobs/{id}          one job's state and progress
+//	GET    /v1/jobs/{id}/result   a finished job's document (?format=csv|table)
+//	DELETE /v1/jobs/{id}          cancel a job
+//	GET    /v1/provenance/{addr}  one stored result's lineage record
+//	GET    /v1/gossip             this node's view, polled by its peers
+//	GET    /v1/blobs/{addr}       one stored result frame, raw
 //
 // A heavy request leaves by one of two doors. An answer given before
 // admission (an L0 hit, a 304, an L2 raw read) closes out through
@@ -47,6 +59,7 @@ import (
 	"dabench/internal/memo"
 	"dabench/internal/platform"
 	"dabench/internal/provenance"
+	"dabench/internal/scenario"
 	"dabench/internal/store"
 	"dabench/internal/sweep"
 	"dabench/internal/telemetry"
@@ -600,11 +613,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	budget := s.cfg.MaxSweepPoints
-	if req.Budget > 0 && req.Budget < budget {
-		budget = req.Budget
-	}
-	p, specs, labels, err := req.points(budget)
+	p, pts, err := req.syncGrid(s.cfg.MaxSweepPoints)
 	if err != nil {
 		var be *BudgetError
 		if errors.As(err, &be) {
@@ -616,7 +625,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	// Decode covers the body read through the cross-product expansion —
+	// Decode covers the body read through the grid's resolution —
 	// everything before the serve/compute decision.
 	st.observe(stgDecode, time.Since(st.t0))
 
@@ -624,7 +633,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// the whole response identity — so a revalidation is answered 304
 	// before admission. Bodies stay out of L0: no client repeats a
 	// sweep unconditionally, and the 304 needs no entry.
-	etag := sweepETag(p.Name(), specs)
+	etag := sweepETag(p.Name(), pts)
 	if s.conditional(w, &st, r.Header.Get("If-None-Match"), etag) {
 		return
 	}
@@ -636,10 +645,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer s.release(cancel)
 
 	t := time.Now()
-	outs, err := sweep.Map(ctx, specs,
-		func(_ context.Context, _ int, spec platform.TrainSpec) (RunResult, error) {
-			return runPoint(p, spec)
-		})
+	resp, err := s.sweepDocument(ctx, p, pts, 0, nil)
 	st.observe(stgRun, time.Since(t))
 	if err != nil {
 		s.writePointError(w, err)
@@ -647,18 +653,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t = time.Now()
-	resp := SweepResponse{Platform: p.Name(), Points: len(outs)}
-	resp.Results = make([]RunResult, len(outs))
-	for i, o := range outs {
-		res := o.Value
-		if o.Failed() {
-			res = result(p, specs[i], nil, nil)
-			res.Failed, res.FailReason = true, o.Err.Error()
-			resp.Failed++
-		}
-		res.Label = labels[i]
-		resp.Results[i] = res
-	}
 	buf, err := encodeJSON(resp)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
@@ -670,20 +664,65 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	putBuf(buf)
 }
 
-// runPoint is one sweep point's compile+run — the unit shared by the
-// synchronous sweep handler and the async job executor, so the two
-// paths cannot drift (job results are byte-identical to sync sweeps of
-// the same specs by construction).
-func runPoint(p platform.CachedPlatform, spec platform.TrainSpec) (RunResult, error) {
-	cr, err := p.Compile(spec)
-	if err != nil {
-		return RunResult{}, err // placement failures tolerated by default
+// sweepDocument runs every point of pts on p and assembles the sweep
+// document in the deterministic layer-major point order: the one body
+// a /v1/sweep answers and a /v1/jobs job stores, so the two are
+// byte-identical by construction. A job passes its pool width and
+// progress beat; it then runs in scenario.ChunkSize chunks, firing the
+// chunk.run fault op before each and beating after, so it holds at
+// most one chunk of outcomes beside its results. A synchronous sweep
+// passes 0 and nil and runs whole on the default pool. Placement
+// failures are failed points; any other error fails the document: the
+// simulators are pure functions of the spec, so a rerun would fail the
+// same way.
+func (s *Server) sweepDocument(ctx context.Context, p platform.CachedPlatform, pts *scenario.Points, workers int, progress func(done, failed int)) (SweepResponse, error) {
+	n := int(pts.Size())
+	resp := SweepResponse{Platform: p.Name(), Points: n, Results: make([]RunResult, 0, n)}
+	chunk := n
+	var opts []sweep.Option
+	if workers > 0 {
+		opts = append(opts, sweep.Workers(workers))
 	}
-	rr, err := p.Run(cr)
-	if err != nil {
-		return RunResult{}, err
+	if progress != nil {
+		chunk = scenario.ChunkSize
 	}
-	return result(p, spec, cr, rr), nil
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		if progress != nil {
+			if err := s.cfg.Injector.Fire(ctx, faults.OpChunkRun); err != nil {
+				return resp, err
+			}
+		}
+		outs, err := sweep.MapN(ctx, hi-lo, func(_ context.Context, i int) (RunResult, error) {
+			spec := pts.Spec(lo + i)
+			cr, err := p.Compile(spec)
+			if err != nil {
+				return RunResult{}, err // MapN tolerates placement failures
+			}
+			rr, err := p.Run(cr)
+			if err != nil {
+				return RunResult{}, err
+			}
+			return result(p, spec, cr, rr), nil
+		}, opts...)
+		if err != nil {
+			return resp, err
+		}
+		for i, o := range outs {
+			res := o.Value
+			if o.Failed() {
+				res = result(p, pts.Spec(lo+i), nil, nil)
+				res.Failed, res.FailReason = true, o.Err.Error()
+				resp.Failed++
+			}
+			res.Label = pts.Label(lo + i)
+			resp.Results = append(resp.Results, res)
+		}
+		if progress != nil {
+			progress(hi, resp.Failed)
+		}
+	}
+	return resp, nil
 }
 
 // writeBudgetError answers an over-budget synchronous sweep: 429 with

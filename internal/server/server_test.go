@@ -426,6 +426,40 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepLabelsNameEveryAxis: a sweep label names layers, batch and
+// precision even where the request omits that axis and the base value
+// fills it (a scenario labels only the axes it names).
+func TestSweepLabelsNameEveryAxis(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for body, want := range map[string][]string{
+		`{"platform":"wse","model":"gpt2-small","batches":[128,256]}`:  {"L=12/B=128/FP16", "L=12/B=256/FP16"},
+		`{"platform":"wse","model":"gpt2-small","layer_counts":[2,4]}`: {"L=2/B=512/FP16", "L=4/B=512/FP16"},
+		`{"platform":"gpu","model":"gpt2-small"}`:                      {"L=12/B=512/FP16"},
+		`{"platform":"rdu","model":"gpt2-small","layers":6,"batch":64,"precisions":["bf16","fp32"]}`: {
+			"L=6/B=64/BF16", "L=6/B=64/FP32"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", body, resp.StatusCode, b)
+		}
+		var sr SweepResponse
+		if err := json.Unmarshal(b, &sr); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, res := range sr.Results {
+			got = append(got, res.Label)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: labels = %q, want %q", body, got, want)
+		}
+	}
+}
+
 // TestSweepBudget pins the budget-rejection contract: an over-budget
 // synchronous sweep is refused with a structured JSON error naming the
 // limit and the requested point count, never an empty body.
@@ -732,25 +766,29 @@ func TestServedCountsAdmittedErrors(t *testing.T) {
 }
 
 // TestExperimentResponsesAreFramed: every artifact, in every format,
-// answers with a Content-Length equal to its body and no transfer
-// coding, as API.md promises (figure9's 2 KB text body once went out
-// chunked).
+// and the /metrics exposition answer with a Content-Length equal to
+// their body and no transfer coding, as API.md promises (figure9's 2 KB
+// text body and the 44 KB exposition once went out chunked).
 func TestExperimentResponsesAreFramed(t *testing.T) {
 	ts := newTestServer(t, Config{})
+	paths := []string{"/metrics"}
 	for _, id := range experiments.IDs() {
 		for _, format := range []string{"text", "csv", "trace"} {
-			resp, err := http.Get(ts.URL + "/v1/experiments/" + id + "?format=" + format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body := readAll(t, resp)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s %s: status = %d: %s", id, format, resp.StatusCode, body)
-			}
-			if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
-				t.Errorf("%s %s: Content-Length %d and transfer coding %v for a %d-byte body",
-					id, format, resp.ContentLength, resp.TransferEncoding, len(body))
-			}
+			paths = append(paths, "/v1/experiments/"+id+"?format="+format)
+		}
+	}
+	for _, path := range paths {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", path, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d and transfer coding %v for a %d-byte body",
+				path, resp.ContentLength, resp.TransferEncoding, len(body))
 		}
 	}
 }

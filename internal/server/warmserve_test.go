@@ -353,7 +353,7 @@ func TestIdentityTagsAreStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, specs, _, err := req.points(16)
+	p, pts, err := req.syncGrid(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestIdentityTagsAreStable(t *testing.T) {
 	defer durable.Close()
 
 	for _, c := range []struct{ name, got, want string }{
-		{"sweep", sweepETag(p.Name(), specs),
+		{"sweep", sweepETag(p.Name(), pts),
 			`"5961bab624f816179bc17de7df3b2fa795c423bb03b1b29b893e5f73cc025e72"`},
 		{"scenario", scenarioETag("cross-platform-throughput", "text"),
 			`"0cd6b596436718c6713c021e90d7ad3f12766391c719a647ec766ac12d01f285"`},

@@ -121,9 +121,10 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 
 // MapN is Map over the index range [0, n) instead of a materialized
 // slice: fn derives the i-th sweep point itself. It exists for sweeps
-// whose cross products are generated rather than stored — the async
-// job executor walks arbitrarily large products chunk by chunk without
-// ever holding the full spec slice in memory.
+// whose cross products are generated rather than stored — the server's
+// sweeps and jobs and the scenario engine derive each point from a
+// resolved grid, and a job walks an arbitrarily large product chunk by
+// chunk without ever holding the full spec slice in memory.
 func MapN[R any](ctx context.Context, n int, fn func(ctx context.Context, i int) (R, error), opts ...Option) ([]Outcome[R], error) {
 	o := options{workers: DefaultWorkers(), tolerate: platform.IsCompileFailure}
 	for _, opt := range opts {

@@ -26,6 +26,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"io"
 	"math"
 	"sort"
@@ -222,7 +223,8 @@ func formatFloat(v float64) string {
 // WritePrometheus renders the full exposition: registered histograms
 // plus every collector's samples, families sorted by name, series
 // sorted by label string. The output satisfies the Prometheus text
-// format (version 0.0.4).
+// format (version 0.0.4). It goes to w through one small bufio.Writer,
+// so a caller's buffer receives it without an intermediate copy.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	exp := &Exposition{families: map[string]*expFamily{}}
@@ -236,7 +238,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 
 	sort.Strings(exp.order)
-	var b strings.Builder
+	b := bufio.NewWriter(w)
 	for _, name := range exp.order {
 		f := exp.families[name]
 		b.WriteString("# HELP ")
@@ -258,16 +260,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		sort.Slice(f.hists, func(i, j int) bool { return f.hists[i].labels < f.hists[j].labels })
 		for _, s := range f.hists {
-			writeHistogram(&b, name, s)
+			writeHistogram(b, name, s)
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return b.Flush()
 }
 
 // writeHistogram renders one histogram series: cumulative _bucket
 // lines (le inclusive, +Inf last), then _sum and _count.
-func writeHistogram(b *strings.Builder, name string, s *series) {
+func writeHistogram(b *bufio.Writer, name string, s *series) {
 	h := s.hist
 	// Join the series labels with the le label: strip the closing
 	// brace and append, or open a fresh set.
@@ -293,7 +294,7 @@ func writeHistogram(b *strings.Builder, name string, s *series) {
 	b.WriteByte('\n')
 }
 
-func writeBucket(b *strings.Builder, prefix, labels, le string, cum int64) {
+func writeBucket(b *bufio.Writer, prefix, labels, le string, cum int64) {
 	b.WriteString(prefix)
 	if labels == "" {
 		b.WriteString(`{le="`)
